@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,45 +27,71 @@ from .rng import make_rng
 
 SCHEMA_VERSION = 1
 
-CONFIG_DEFAULTS = {
-    "eps_shrink": -20.0,
-    "delta_expand": 20.0,
-    "eps_shrink_min": -20.0,
-    "delta_expand_max": 20.0,
-    "theta_floor": 0.01,
-    "min_box_size": 1.0,
-    "max_resample": 10,
-    "tau": 2.0,
-    "lambda": 1e-4,
-    "lr": 0.01,
-    "epochs": 20,
-    "scheduler_factor": 0.5,
-    "scheduler_patience": 3,
-    "min_lr": 1e-6,
-    "seed": 0,
-    "perturber": "adaptive",
-    "baseline_max_shift": 20.0,
-    "error_dsc_threshold": 0.5,
-    "prompt_frac": 0.1,
-}
-
-_INT_KEYS = {"max_resample", "epochs", "scheduler_patience", "seed"}
-_STR_KEYS = {"perturber"}
-
 
 class UsageError(Exception):
     pass
 
 
-def read_run_config(path=None) -> dict:
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a `--config` file sets: training, its perturbation, evaluation.
+
+    The config keys are the fields of PerturbationConfig, TrainConfig and
+    RunConfig that have a plain default; the nested configs use a
+    default_factory and are not keys.
+    """
+
+    train: toyseg.TrainConfig = field(default_factory=toyseg.TrainConfig)
+    tau: float = 2.0
+    prompt_frac: float = 0.1
+
+    def __post_init__(self):
+        if self.tau < 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not 0.0 <= self.prompt_frac <= 0.4:
+            raise ValueError(f"prompt_frac must be in [0, 0.4], got {self.prompt_frac}")
+
+    def values(self) -> dict:
+        """Every config key and its value."""
+        return {f.name: getattr(obj, f.name)
+                for obj in (self.train.perturb, self.train, self)
+                for f in fields(obj) if f.default is not MISSING}
+
+    @classmethod
+    def from_values(cls, values: dict) -> "RunConfig":
+        """Build and validate a config from a subset of the keys; the rest default."""
+        def pick(section):
+            return {f.name: values[f.name] for f in fields(section) if f.name in values}
+        perturb = PerturbationConfig(**pick(PerturbationConfig))
+        return cls(train=toyseg.TrainConfig(perturb=perturb, **pick(toyseg.TrainConfig)),
+                   **pick(cls))
+
+
+def _parse_value(text: str, default):
+    """Parse text as the type of default: bool (true/false), int or finite float."""
+    kind = type(default)
+    try:
+        value = ({"true": True, "false": False}[text.lower()] if kind is bool
+                 else kind(text))
+    except (KeyError, ValueError):
+        raise ValueError(f"expected {kind.__name__}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"expected a finite float, got {text!r}")
+    return value
+
+
+def read_run_config(path=None) -> RunConfig:
     """Parse an INI-style `key = value` file; unknown keys are rejected.
 
-    Missing keys take the documented defaults; a missing path yields the
-    pure defaults.
+    Missing keys take the dataclass defaults; a missing path yields the
+    pure defaults.  Each value is checked as its line is read, so an
+    error names the line at fault.
     """
-    config = dict(CONFIG_DEFAULTS)
+    config = RunConfig()
     if path is None:
         return config
+    defaults = config.values()
+    values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -73,48 +101,21 @@ def read_run_config(path=None) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected `key = value`")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in CONFIG_DEFAULTS:
+            if key not in defaults:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _STR_KEYS:
-                config[key] = value
-            elif key in _INT_KEYS:
-                config[key] = int(value)
-            else:
-                config[key] = float(value)
+            try:
+                values[key] = _parse_value(value.strip(), defaults[key])
+                config = RunConfig.from_values(values)
+            except ValueError as e:
+                raise UsageError(f"{path}:{lineno}: {key}: {e}") from None
     return config
 
 
-def perturbation_config(config: dict) -> PerturbationConfig:
-    return PerturbationConfig(
-        eps_shrink=config["eps_shrink"],
-        delta_expand=config["delta_expand"],
-        eps_shrink_min=config["eps_shrink_min"],
-        delta_expand_max=config["delta_expand_max"],
-        theta_floor=config["theta_floor"],
-        min_box_size=config["min_box_size"],
-        max_resample=config["max_resample"])
-
-
-def train_config(config: dict, perturber: str | None = None,
-                 seed: int | None = None) -> toyseg.TrainConfig:
-    return toyseg.TrainConfig(
-        epochs=config["epochs"],
-        lr=config["lr"],
-        lam=config["lambda"],
-        scheduler_factor=config["scheduler_factor"],
-        scheduler_patience=config["scheduler_patience"],
-        min_lr=config["min_lr"],
-        perturber=perturber if perturber is not None else config["perturber"],
-        baseline_max_shift=config["baseline_max_shift"],
-        seed=seed if seed is not None else config["seed"],
-        perturb=perturbation_config(config))
-
-
-def _config_comment_lines(config: dict) -> list[str]:
+def _config_comment_lines(config: RunConfig) -> list[str]:
+    values = config.values()
     lines = [f"# schema_version = {SCHEMA_VERSION}"]
-    for key in sorted(config):
-        lines.append(f"# {key} = {config[key]}")
+    for key in sorted(values):
+        lines.append(f"# {key} = {values[key]}")
     return lines
 
 
@@ -123,20 +124,22 @@ def _fmt(x: float) -> str:
 
 
 def cmd_perturb(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     config = read_run_config(args.config)
     if args.seed is not None:
-        config["seed"] = args.seed
+        config = replace(config, train=replace(config.train, seed=args.seed))
     mask = data_mod.read_mask_pgm(args.mask)
     h, w = mask.shape
     box = box_from_mask(mask)
-    pcfg = perturbation_config(config)
+    pcfg = config.train.perturb
     coeffs = coefficients_for(box, w, h, pcfg.theta_floor)
     offsets = compute_offsets(pcfg, coeffs)
 
     rows = []
     for i in range(args.n):
         p = sample_perturbed_box(box, offsets, w, h, pcfg,
-                                 make_rng(config["seed"], i))
+                                 make_rng(config.train.seed, i))
         rows.append((i, p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max,
                      offsets.eps1, offsets.eps2, offsets.delta1, offsets.delta2,
                      p.resample_count))
@@ -182,9 +185,8 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = read_run_config(args.config)
     split = data_mod.load_dataset(args.data_dir)
-    cfg = train_config(config)
-    model, history = toyseg.train(split, cfg)
-    toyseg.save_model(model, args.out, train_config_echo=config)
+    model, history = toyseg.train(split, config.train)
+    toyseg.save_model(model, args.out, train_config_echo=config.values())
     lines = _config_comment_lines(config)
     lines.append("epoch,train_loss,val_loss,lr")
     for rec in history:
@@ -194,26 +196,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+# (row name, scale_by_target, bidirectional): the 2x2 factorial of theta/xi
+# scaling and shrink+expand versus expand-only (eps_shrink = 0) draws.
 ABLATION_ROWS = (
-    ("baseline", "baseline"),
-    ("+theta_xi", "adaptive-scaled-only"),
-    ("+bidirectional", "bidirectional-only"),
-    ("full", "adaptive"),
+    ("baseline", False, False),
+    ("+theta_xi", True, False),
+    ("+bidirectional", False, True),
+    ("full", True, True),
 )
 
 
-def run_ablation(standard_split, tiny_split, config: dict,
+def run_ablation(standard_split, tiny_split, config: RunConfig,
                  error_threshold: float) -> list[dict]:
     """Train one model per ablation row and evaluate all prompt regimes.
 
     Every row shares the dataset and seeds, so rows differ only in the
-    train-time perturber.
+    train-time perturbation.
     """
-    frac = config["prompt_frac"]
-    tau = config["tau"]
+    frac, tau = config.prompt_frac, config.tau
+    perturb = config.train.perturb
     results = []
-    for row_name, perturber in ABLATION_ROWS:
-        cfg = train_config(config, perturber=perturber)
+    for row_name, scale_by_target, bidirectional in ABLATION_ROWS:
+        cfg = replace(config.train, perturb=replace(
+            perturb, scale_by_target=scale_by_target,
+            eps_shrink=perturb.eps_shrink if bidirectional else 0.0))
         model_std, _ = toyseg.train(standard_split, cfg)
         regimes = {}
         for mode, f in (("standard", 0.0), ("expand", frac), ("shrink", frac)):
@@ -255,7 +261,7 @@ def cmd_ablate(args) -> int:
                  f"{args.error_dsc_threshold} on the tiny suite "
                  f"(stand-in definition)")
     lines.append(f"# expand/shrink prompt regimes move each edge by "
-                 f"{config['prompt_frac']} of the side length (stand-in value)")
+                 f"{config.prompt_frac} of the side length (stand-in value)")
     header = list(rows[0].keys())
     lines.append(",".join(header))
     for row in rows:

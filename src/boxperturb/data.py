@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadMagic, EmptyDataset, InvalidWindow, MalformedHeader,
-                     SizeMismatch, TruncatedPayload, UnsupportedMaxval)
+                     MalformedManifest, SizeMismatch, TruncatedPayload,
+                     UnsupportedMaxval)
 from .geometry import box_from_mask
 from .rng import make_rng
 
@@ -235,10 +236,7 @@ def read_mask_pgm(path) -> np.ndarray:
     if data[:2] not in (b"P2", b"P5"):
         raise MalformedHeader(f"not a P2/P5 PGM file: magic {data[:2]!r}")
     ascii_format = data[:2] == b"P2"
-    try:
-        (width, height, maxval), pos = _read_pgm_tokens(data, 3, 2)
-    except MalformedHeader:
-        raise
+    (width, height, maxval), pos = _read_pgm_tokens(data, 3, 2)
     if width < 1 or height < 1:
         raise MalformedHeader(f"invalid PGM dimensions {width}x{height}")
     if maxval < 1 or maxval > 255:
@@ -341,8 +339,13 @@ def load_dataset(data_dir) -> DatasetSplit:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise EmptyDataset(f"no manifest.json in {root}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    try:
+        with open(manifest_path) as f:
+            manifest = json.load(f)
+    except ValueError as e:  # bad JSON or bad text encoding
+        raise MalformedManifest(f"{manifest_path}: {e}") from None
+    if not isinstance(manifest, dict) or not {"samples", "splits"} <= manifest.keys():
+        raise MalformedManifest(f"{manifest_path}: needs 'samples' and 'splits' keys")
     by_id = {s["id"]: s for s in manifest["samples"]}
     splits = {}
     for name in ("train", "val", "test"):

@@ -37,6 +37,10 @@ class InvalidWindow(BoxPerturbError):
     pass
 
 
+class MalformedManifest(BoxPerturbError):
+    pass
+
+
 class MalformedHeader(BoxPerturbError):
     pass
 

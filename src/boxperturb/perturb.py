@@ -24,7 +24,10 @@ class PerturbationConfig:
 
     eps_shrink is negative by convention (inward), delta_expand positive
     (outward).  Values outside [eps_shrink_min, 0] / [0, delta_expand_max]
-    are silently clamped when offsets are computed.
+    are silently clamped when offsets are computed.  With scale_by_target
+    off, the offsets are the raw magnitudes (theta_omega = xi = 1).
+    eps_shrink = 0 gives expand-only draws; eps_shrink = delta_expand = 0
+    returns the input box unchanged.
     """
 
     eps_shrink: float = -20.0
@@ -34,12 +37,15 @@ class PerturbationConfig:
     theta_floor: float = 0.01
     min_box_size: float = 1.0
     max_resample: int = 10
+    scale_by_target: bool = True
 
     def __post_init__(self):
         if self.eps_shrink > 0 or self.delta_expand < 0:
             raise ValueError("eps_shrink must be <= 0 and delta_expand >= 0")
         if self.eps_shrink_min > 0 or self.delta_expand_max < 0:
             raise ValueError("clamps must satisfy eps_shrink_min <= 0 <= delta_expand_max")
+        if not 0.0 < self.theta_floor <= 1.0:
+            raise ValueError(f"theta_floor must be in (0, 1], got {self.theta_floor}")
         if self.min_box_size <= 0:
             raise ValueError("min_box_size must be positive")
         if self.max_resample < 0:
@@ -67,13 +73,16 @@ class PerturbedBox:
 
 
 def compute_offsets(config: PerturbationConfig, coeffs: Coefficients) -> OffsetQuad:
-    """Scale the clamped shrink/expand magnitudes by theta_omega and xi."""
+    """Scale the clamped shrink/expand magnitudes by theta_omega and xi.
+
+    The coefficients are ignored when config.scale_by_target is off.
+    """
+    theta, xi = (coeffs.theta_omega, coeffs.xi) if config.scale_by_target else (1.0, 1.0)
     eps = max(config.eps_shrink, config.eps_shrink_min)
     delta = min(config.delta_expand, config.delta_expand_max)
-    eps1 = eps * coeffs.theta_omega
-    delta1 = delta * coeffs.theta_omega
-    return OffsetQuad(eps1=eps1, eps2=eps1 / coeffs.xi,
-                      delta1=delta1, delta2=delta1 / coeffs.xi)
+    eps1 = eps * theta
+    delta1 = delta * theta
+    return OffsetQuad(eps1=eps1, eps2=eps1 / xi, delta1=delta1, delta2=delta1 / xi)
 
 
 def _draw_edge(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -130,15 +139,8 @@ def sample_baseline_box(box: BoundingBox, max_shift: float,
     """Fixed-range expand-only perturbation: each edge moves outward by U(0, max_shift)."""
     if max_shift < 0:
         raise ValueError("max_shift must be >= 0")
-    x_min = box.x_min - _draw_edge(rng, 0.0, max_shift)
-    x_max = box.x_max + _draw_edge(rng, 0.0, max_shift)
-    y_min = box.y_min - _draw_edge(rng, 0.0, max_shift)
-    y_max = box.y_max + _draw_edge(rng, 0.0, max_shift)
-    draws = (x_min, x_max, y_min, y_max)
-    out = BoundingBox(max(x_min, 0.0), max(y_min, 0.0),
-                      min(x_max, float(image_w)), min(y_max, float(image_h)))
-    return PerturbedBox(box=out, offsets=OffsetQuad(0.0, 0.0, 0.0, 0.0),
-                        draws=draws, resample_count=0)
+    return sample_perturbed_box(box, OffsetQuad(0.0, 0.0, max_shift, max_shift),
+                                image_w, image_h, PerturbationConfig(), rng)
 
 
 @dataclass(frozen=True)

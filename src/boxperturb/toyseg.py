@@ -10,23 +10,19 @@ AdamW-style update and a reduce-on-plateau schedule, one image per step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import loss as loss_mod
 from .errors import BoxOutOfBounds, EmptyDataset, NonFiniteGradient
 from .geometry import BoundingBox, box_from_mask, coefficients_for
-from .perturb import (PerturbationConfig, compute_offsets, sample_baseline_box,
-                      sample_perturbed_box)
+from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
 from .rng import make_rng
 
 FEATURE_NAMES = ("bias", "intensity", "inside_box", "edge_distance",
                  "center_offset_x", "center_offset_y")
 N_FEATURES = len(FEATURE_NAMES)
-
-PERTURBERS = ("none", "baseline", "adaptive", "adaptive-scaled-only",
-              "bidirectional-only")
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -49,8 +45,6 @@ class TrainConfig:
     scheduler_factor: float = 0.5
     scheduler_patience: int = 3
     min_lr: float = 1e-6
-    perturber: str = "adaptive"
-    baseline_max_shift: float = 20.0
     seed: int = 0
     perturb: PerturbationConfig = field(default_factory=PerturbationConfig)
 
@@ -61,8 +55,6 @@ class TrainConfig:
             raise ValueError("scheduler_factor must be in (0, 1)")
         if self.scheduler_patience < 1:
             raise ValueError("scheduler_patience must be >= 1")
-        if self.perturber not in PERTURBERS:
-            raise ValueError(f"unknown perturber {self.perturber!r}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -156,18 +148,9 @@ def train_step(model: ToyModel, image: np.ndarray, mask: np.ndarray,
 
 def perturb_prompt(box: BoundingBox, image_w: int, image_h: int,
                    cfg: TrainConfig, rng: np.random.Generator) -> BoundingBox:
-    """Apply the configured train-time perturber to a ground-truth box."""
-    if cfg.perturber == "none":
-        return box
-    if cfg.perturber == "baseline":
-        return sample_baseline_box(box, cfg.baseline_max_shift,
-                                   image_w, image_h, rng).box
+    """Draw the train-time prompt for a ground-truth box under cfg.perturb."""
     pcfg = cfg.perturb
     coeffs = coefficients_for(box, image_w, image_h, pcfg.theta_floor)
-    if cfg.perturber == "adaptive-scaled-only":
-        pcfg = replace(pcfg, eps_shrink=0.0)
-    elif cfg.perturber == "bidirectional-only":
-        coeffs = replace(coeffs, theta_omega=1.0, xi=1.0)
     offsets = compute_offsets(pcfg, coeffs)
     return sample_perturbed_box(box, offsets, image_w, image_h, pcfg, rng).box
 

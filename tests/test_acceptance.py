@@ -180,8 +180,13 @@ def tiny_suite():
     return data_mod.gen_synthetic(200, "tiny", grid=128, seed=11)
 
 
-def _train_eval(split, perturber, mode, frac):
-    cfg = toyseg.TrainConfig(perturber=perturber, seed=3)
+# The fixed-range expand-only baseline and the full adaptive perturbation.
+BASELINE = PerturbationConfig(eps_shrink=0.0, scale_by_target=False)
+FULL = PerturbationConfig()
+
+
+def _train_eval(split, perturb, mode, frac):
+    cfg = toyseg.TrainConfig(perturb=perturb, seed=3)
     model, _ = toyseg.train(split, cfg)
     held_out = split.val + split.test
     return toyseg.evaluate(model, held_out, mode=mode, frac=frac, tau=2.0)
@@ -190,8 +195,8 @@ def _train_eval(split, perturber, mode, frac):
 def test_criterion_9_ablation_direction_shrink_prompts(standard_suite):
     assert len(standard_suite.train) == 200
     assert len(standard_suite.val) + len(standard_suite.test) == 50
-    base = _train_eval(standard_suite, "baseline", "shrink", 0.1)
-    full = _train_eval(standard_suite, "adaptive", "shrink", 0.1)
+    base = _train_eval(standard_suite, BASELINE, "shrink", 0.1)
+    full = _train_eval(standard_suite, FULL, "shrink", 0.1)
     assert full.dsc_mean >= base.dsc_mean + 0.05
     assert full.nsd_mean > base.nsd_mean
     _report(9, f"shrink(0.1) prompts: full-adaptive DSC {full.dsc_mean:.4f} "
@@ -200,12 +205,12 @@ def test_criterion_9_ablation_direction_shrink_prompts(standard_suite):
 
 
 def test_criterion_10_ablation_direction_tiny_error_rate(tiny_suite):
-    def error_rate(perturber):
-        res = _train_eval(tiny_suite, perturber, "standard", 0.0)
+    def error_rate(perturb):
+        res = _train_eval(tiny_suite, perturb, "standard", 0.0)
         return float(np.mean([d < 0.5 for d in res.per_image_dsc]))
 
-    base = error_rate("baseline")
-    full = error_rate("adaptive")
+    base = error_rate(BASELINE)
+    full = error_rate(FULL)
     assert full <= base
     _report(10, f"tiny suite error rate (criterion: per-image DSC < 0.5): "
                 f"full-adaptive {full:.3f} <= baseline {base:.3f}")

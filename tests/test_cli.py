@@ -1,10 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from boxperturb import data as data_mod
-from boxperturb.cli import main, read_run_config, UsageError
+from boxperturb.cli import main, read_run_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
@@ -22,22 +26,55 @@ def mask_file(tmp_path):
 
 def test_read_run_config_defaults_and_overrides(tmp_path):
     cfg = read_run_config(None)
-    assert cfg["eps_shrink"] == -20.0
-    assert cfg["perturber"] == "adaptive"
+    assert cfg.train.perturb.eps_shrink == -20.0
+    assert cfg.train.perturb.scale_by_target is True
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nlr = 0.5\nepochs = 3\nperturber = baseline\n")
+    path.write_text("# comment\nlr = 0.5\nepochs = 3\nscale_by_target = false\n")
     cfg = read_run_config(path)
-    assert cfg["lr"] == 0.5
-    assert cfg["epochs"] == 3
-    assert cfg["perturber"] == "baseline"
-    assert cfg["tau"] == 2.0
+    assert cfg.train.lr == 0.5
+    assert cfg.train.epochs == 3
+    assert cfg.train.perturb.scale_by_target is False
+    assert cfg.tau == 2.0
+    assert len(cfg.values()) == 17
 
 
-def test_read_run_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("bogus_key = 1\n")
-    with pytest.raises(UsageError):
-        read_run_config(path)
+@pytest.mark.parametrize("text, lineno", [
+    pytest.param("bogus_key = 1\n", 1, id="unknown-key"),
+    pytest.param("perturber = bogus\n", 1, id="perturber"),
+    pytest.param("epochs 3\n", 1, id="no-equals"),
+    pytest.param("seed = 1.5\n", 1, id="float-seed"),
+    pytest.param("lr = 0.5\nepochs = 0\n", 2, id="zero-epochs"),
+    pytest.param("eps_shrink = 5\n", 1, id="positive-eps-shrink"),
+    pytest.param("# bools\nscale_by_target = yes\n", 2, id="non-bool"),
+    pytest.param("prompt_frac = 0.5\n", 1, id="prompt-frac-range"),
+    pytest.param("delta_expand = nan\n", 1, id="non-finite"),
+])
+def test_read_run_config_rejects_unknown_key(tmp_path, capsys, text, lineno):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    model, hist = tmp_path / "m.json", tmp_path / "h.csv"
+    # The config is checked before the (missing) dataset is read.
+    assert run("train", "--data-dir", str(tmp_path), "--config", str(cfg),
+               "--out", str(model), "--history", str(hist)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"boxperturb: {cfg}:{lineno}: ")
+    assert err.count("\n") == 1
+    assert not model.exists() and not hist.exists()
+
+
+def test_readme_config_table_matches_defaults():
+    text = README.read_text()
+    section = text[text.index("## Config file"):]
+    section = section[:section.index("\n## ", 1)]
+    rows = dict(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", section, re.M))
+    defaults = read_run_config(None).values()
+    assert rows.keys() == defaults.keys()
+    for key, value in defaults.items():
+        documented = rows[key]
+        if isinstance(value, bool):
+            assert documented == str(value).lower(), key
+        else:
+            assert type(value)(documented) == value, key
 
 
 def test_perturb_zero_config_rows_equal_box(tmp_path, mask_file):
@@ -62,6 +99,27 @@ def test_perturb_deterministic_output(tmp_path, mask_file):
         assert run("perturb", "--mask", str(mask_file), "--n", "50",
                    "--seed", "42", "--out", str(out)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_perturb_scale_by_target_off_uses_raw_offsets(tmp_path, mask_file):
+    cfg = tmp_path / "raw.cfg"
+    cfg.write_text("scale_by_target = false\n")
+    out = tmp_path / "out.csv"
+    assert run("perturb", "--mask", str(mask_file), "--config", str(cfg),
+               "--n", "3", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert "# scale_by_target = False" in lines
+    rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+    for row in rows[1:]:
+        assert [float(x) for x in row[5:9]] == [-20.0, -20.0, 20.0, 20.0]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_perturb_rejects_n_below_one(tmp_path, mask_file, n):
+    out = tmp_path / "out.csv"
+    assert run("perturb", "--mask", str(mask_file), "--n", n, "--stats",
+               "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_perturb_empty_mask_exit_code(tmp_path):
@@ -138,7 +196,7 @@ def test_train_and_history(tmp_path):
     assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
                "--out-dir", str(data_dir)) == 0
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("epochs = 1\nperturber = none\n")
+    cfg.write_text("epochs = 1\neps_shrink = 0\ndelta_expand = 0\n")
     model1 = tmp_path / "m1.json"
     hist = tmp_path / "h.csv"
     assert run("train", "--data-dir", str(data_dir), "--config", str(cfg),
@@ -157,6 +215,18 @@ def test_train_missing_dataset_exit(tmp_path):
     assert run("train", "--data-dir", str(tmp_path / "nope"),
                "--out", str(tmp_path / "m.json"),
                "--history", str(tmp_path / "h.csv")) == 2
+
+
+@pytest.mark.parametrize("manifest", ["{bad", '{"samples": []}', "[]"])
+def test_train_malformed_manifest_exit(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    model = tmp_path / "m.json"
+    assert run("train", "--data-dir", str(tmp_path), "--out", str(model),
+               "--history", str(tmp_path / "h.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boxperturb: MalformedManifest: ")
+    assert err.count("\n") == 1
+    assert not model.exists()
 
 
 def test_ablate_schema(tmp_path):

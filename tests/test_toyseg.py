@@ -6,9 +6,14 @@ from boxperturb import toyseg
 from boxperturb.errors import BoxOutOfBounds, EmptyDataset
 from boxperturb.geometry import BoundingBox
 from boxperturb.loss import bce, dice_loss
+from boxperturb.perturb import PerturbationConfig
 from boxperturb.rng import make_rng
 
 from oracles import finite_difference
+
+
+# eps_shrink = delta_expand = 0: the prompt is the ground-truth box.
+NO_PERTURB = PerturbationConfig(eps_shrink=0.0, delta_expand=0.0)
 
 
 def small_image(h=20, w=20):
@@ -140,20 +145,17 @@ def test_weight_gradient_matches_finite_differences():
 
 def test_perturb_prompt_modes():
     box = BoundingBox(40, 40, 80, 70)
-    cfg_none = toyseg.TrainConfig(perturber="none")
+    cfg_none = toyseg.TrainConfig(perturb=NO_PERTURB)
     assert toyseg.perturb_prompt(box, 128, 128, cfg_none, make_rng(503)) == box
-    cfg_base = toyseg.TrainConfig(perturber="baseline")
+    cfg_base = toyseg.TrainConfig(
+        perturb=PerturbationConfig(eps_shrink=0.0, scale_by_target=False))
     out = toyseg.perturb_prompt(box, 128, 128, cfg_base, make_rng(504))
     assert out.contains_box(box)
-    for name in ("adaptive", "adaptive-scaled-only", "bidirectional-only"):
-        cfg = toyseg.TrainConfig(perturber=name)
+    for pcfg in (PerturbationConfig(), PerturbationConfig(eps_shrink=0.0),
+                 PerturbationConfig(scale_by_target=False)):
+        cfg = toyseg.TrainConfig(perturb=pcfg)
         out = toyseg.perturb_prompt(box, 128, 128, cfg, make_rng(505))
         assert out.within_image(128, 128)
-
-
-def test_unknown_perturber_rejected():
-    with pytest.raises(ValueError):
-        toyseg.TrainConfig(perturber="bogus")
 
 
 @pytest.fixture(scope="module")
@@ -162,13 +164,13 @@ def tiny_dataset():
 
 
 def test_train_reduces_val_loss(tiny_dataset):
-    cfg = toyseg.TrainConfig(perturber="none", epochs=10, seed=1)
+    cfg = toyseg.TrainConfig(perturb=NO_PERTURB, epochs=10, seed=1)
     _, history = toyseg.train(tiny_dataset, cfg)
     assert history[-1].val_loss < history[0].val_loss
 
 
 def test_train_determinism(tiny_dataset):
-    cfg = toyseg.TrainConfig(perturber="adaptive", epochs=5, seed=2)
+    cfg = toyseg.TrainConfig(epochs=5, seed=2)
     model1, hist1 = toyseg.train(tiny_dataset, cfg)
     model2, hist2 = toyseg.train(tiny_dataset, cfg)
     assert (model1.weights == model2.weights).all()
@@ -185,7 +187,7 @@ def test_scheduler_drops_rate_on_plateau(tiny_dataset, monkeypatch):
     # Pin the validation loss so it never improves: the rate must drop by
     # exactly the configured factor every `patience` epochs.
     monkeypatch.setattr(toyseg, "_mean_val_loss", lambda model, samples: 1.0)
-    cfg = toyseg.TrainConfig(perturber="none", epochs=7, lr=0.4,
+    cfg = toyseg.TrainConfig(perturb=NO_PERTURB, epochs=7, lr=0.4,
                              scheduler_factor=0.5, scheduler_patience=2, seed=3)
     _, history = toyseg.train(tiny_dataset, cfg)
     rates = [rec.lr for rec in history]
@@ -195,7 +197,7 @@ def test_scheduler_drops_rate_on_plateau(tiny_dataset, monkeypatch):
 
 def test_scheduler_respects_min_lr(tiny_dataset, monkeypatch):
     monkeypatch.setattr(toyseg, "_mean_val_loss", lambda model, samples: 1.0)
-    cfg = toyseg.TrainConfig(perturber="none", epochs=10, lr=4e-6,
+    cfg = toyseg.TrainConfig(perturb=NO_PERTURB, epochs=10, lr=4e-6,
                              scheduler_factor=0.5, scheduler_patience=1,
                              min_lr=1e-6, seed=3)
     _, history = toyseg.train(tiny_dataset, cfg)
@@ -204,7 +206,7 @@ def test_scheduler_respects_min_lr(tiny_dataset, monkeypatch):
 
 def test_evaluate_expand_zero_equals_standard(tiny_dataset):
     model, _ = toyseg.train(tiny_dataset,
-                            toyseg.TrainConfig(perturber="none", epochs=3, seed=4))
+                            toyseg.TrainConfig(perturb=NO_PERTURB, epochs=3, seed=4))
     std = toyseg.evaluate(model, tiny_dataset.test)
     exp0 = toyseg.evaluate(model, tiny_dataset.test, mode="expand", frac=0.0)
     shr0 = toyseg.evaluate(model, tiny_dataset.test, mode="shrink", frac=0.0)
