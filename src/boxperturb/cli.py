@@ -160,6 +160,8 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not args.tau >= 0:  # also rejects NaN
+        raise UsageError(f"--tau must be >= 0, got {args.tau}")
     gt = data_mod.read_mask_pgm(args.gt)
     pred = data_mod.read_mask_pgm(args.pred)
     doc = {

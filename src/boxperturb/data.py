@@ -344,13 +344,24 @@ def load_dataset(data_dir) -> DatasetSplit:
             manifest = json.load(f)
     except ValueError as e:  # bad JSON or bad text encoding
         raise MalformedManifest(f"{manifest_path}: {e}") from None
-    if not isinstance(manifest, dict) or not {"samples", "splits"} <= manifest.keys():
-        raise MalformedManifest(f"{manifest_path}: needs 'samples' and 'splits' keys")
-    by_id = {s["id"]: s for s in manifest["samples"]}
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("samples"), list)
+            and isinstance(manifest.get("splits"), dict)):
+        raise MalformedManifest(
+            f"{manifest_path}: needs a 'samples' list and a 'splits' object")
+    by_id = {}
+    for entry in manifest["samples"]:
+        if not (isinstance(entry, dict) and {"id", "image", "mask"} <= entry.keys()
+                and isinstance(entry["id"], str)):
+            raise MalformedManifest(
+                f"{manifest_path}: each sample needs a string 'id', an 'image' and a 'mask'")
+        by_id[entry["id"]] = entry
     splits = {}
     for name in ("train", "val", "test"):
         samples = []
         for sid in manifest["splits"].get(name, []):
+            if not isinstance(sid, str) or sid not in by_id:
+                raise MalformedManifest(
+                    f"{manifest_path}: split {name!r} names unknown sample {sid!r}")
             entry = by_id[sid]
             image = read_f32_grid(root / entry["image"]).astype(np.float64)
             mask = read_mask_pgm(root / entry["mask"])

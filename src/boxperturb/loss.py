@@ -68,6 +68,45 @@ def combined_loss(s: np.ndarray, g: np.ndarray) -> LossReport:
     return LossReport(bce=b, dice=d, combined=b + d)
 
 
+def combined_loss_into(s: np.ndarray, g: np.ndarray, tmp: np.ndarray,
+                       grad_out: np.ndarray | None = None) -> LossReport:
+    """combined_loss(s, g), and loss_gradient(s, g) into grad_out if given.
+
+    For s already clipped and a boolean mask g the values are those of
+    the reference functions bit for bit, but every full-size
+    intermediate lives in the caller's arrays tmp and grad_out (shaped
+    like s), so a training step allocates none.
+    """
+    g = np.asarray(g, dtype=bool)
+    # BCE: per pixel log(s) where g is set and log(1 - s) elsewhere.
+    np.subtract(1.0, s, out=tmp)
+    np.copyto(tmp, s, where=g)
+    b = float(-np.mean(np.log(tmp, out=tmp)))
+    # sum(g * g) counts the mask exactly, so it needs no array.
+    denom = float(np.count_nonzero(g) + np.multiply(s, s, out=tmp).sum())
+    tmp.fill(0.0)
+    np.copyto(tmp, s, where=g)
+    overlap = float(tmp.sum())
+    d = 1.0 - 2.0 * overlap / denom
+    report = LossReport(bce=b, dice=d, combined=b + d)
+    if grad_out is None:
+        return report
+    np.subtract(s, g, out=grad_out)
+    np.subtract(1.0, s, out=tmp)
+    tmp *= s
+    grad_out /= tmp
+    grad_out /= s.size
+    # Dice term -2 (g denom - 2 overlap s) / denom^2; the bracket is
+    # denom - 2 overlap s where g is set and -2 overlap s elsewhere.
+    np.multiply(s, overlap * 2.0, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.add(tmp, denom, out=tmp, where=g)
+    tmp *= -2.0
+    tmp /= denom * denom
+    grad_out += tmp
+    return report
+
+
 def weight_decay_penalty(weights: np.ndarray, lam: float) -> float:
     """lam/2 times the squared L2 norm of the parameter vector."""
     if lam < 0:

@@ -7,11 +7,16 @@ distances between pixel centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySource
+
+# Elements of the (rows, h, w) temporary in one block of the distance
+# transform's column pass: 8 MiB of float64, or one output row if larger.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,8 @@ def distance_transform(source: np.ndarray) -> np.ndarray:
     Two-pass algorithm over squared distances: a per-row scan to the
     nearest in-row source column, then a per-column minimization over
     row offsets.  All intermediate squared distances are exact integers
-    in float64, so the result matches brute force bit for bit.
+    in float64, so the result matches brute force bit for bit.  The
+    column pass runs in blocks of output rows, so memory stays O(h*w).
     """
     source = np.asarray(source, dtype=bool)
     if not source.any():
@@ -72,19 +78,50 @@ def distance_transform(source: np.ndarray) -> np.ndarray:
     row_sq = np.minimum(d_left, d_right)  # (h, w); big where the row has no source
 
     row_offsets = np.arange(h, dtype=np.float64)
-    dr2 = (row_offsets[:, None] - row_offsets[None, :]) ** 2  # (h, h)
-    sq = (dr2[:, :, None] + row_sq[None, :, :]).min(axis=1)   # (h, w)
+    sq = np.empty((h, w))
+    block = max(1, _BLOCK_ELEMENTS // (h * w))
+    for r0 in range(0, h, block):
+        dr2 = (row_offsets[r0:r0 + block, None] - row_offsets[None, :]) ** 2  # (block, h)
+        sq[r0:r0 + block] = (dr2[:, :, None] + row_sq[None, :, :]).min(axis=1)
     return np.sqrt(sq)
+
+
+def _disk_dilate(source: np.ndarray, tau: float) -> np.ndarray:
+    """True where some source pixel lies within Euclidean distance tau.
+
+    An OR of the source over the integer offsets (dr, dc) with
+    sqrt(dr*dr + dc*dc) <= tau, the same float test as thresholding
+    distance_transform.  For each row offset the admissible column
+    offsets form a run |dc| <= k, so the source is dilated along rows
+    by k with a prefix-sum window and then shifted by +-dr.  Memory is
+    O(h*w) and time O(min(tau, h) * h * w).
+    """
+    h, w = source.shape
+    csum = np.zeros((h, w + 1), dtype=np.int32)
+    np.cumsum(source, axis=1, dtype=np.int32, out=csum[:, 1:])
+    cols = np.arange(w)
+    dc2 = (cols * cols).astype(np.float64)
+    out = np.zeros((h, w), dtype=bool)
+    reach = h - 1 if tau >= h - 1 else math.floor(tau)
+    k_prev = -1
+    for dr in range(reach + 1):
+        k = int(np.count_nonzero(np.sqrt(dr * dr + dc2) <= tau)) - 1
+        if k != k_prev:  # k shrinks as |dr| grows; reuse the row dilation while it holds
+            band = csum[:, np.minimum(cols + k + 1, w)] > csum[:, np.maximum(cols - k, 0)]
+            k_prev = k
+        out[:h - dr] |= band[dr:]
+        out[dr:] |= band[:h - dr]
+    return out
 
 
 def nsd(g: np.ndarray, s: np.ndarray, tau: float) -> float:
     """Normalized surface distance at tolerance tau.
 
     Fraction of each mask's boundary lying within Euclidean distance tau
-    of the other mask's boundary.  Both boundaries empty -> 1.0; exactly
-    one empty -> 0.0.
+    of the other mask's boundary, found by dilating each boundary with
+    the tau disk.  Both boundaries empty -> 1.0; exactly one empty -> 0.0.
     """
-    if tau < 0:
+    if not tau >= 0:  # also rejects NaN
         raise ValueError(f"tau must be >= 0, got {tau}")
     g = np.asarray(g, dtype=bool)
     s = np.asarray(s, dtype=bool)
@@ -97,9 +134,7 @@ def nsd(g: np.ndarray, s: np.ndarray, tau: float) -> float:
         return 1.0
     if n_bg == 0 or n_bs == 0:
         return 0.0
-    dist_to_s = distance_transform(bs)
-    dist_to_g = distance_transform(bg)
-    hits = int((bg & (dist_to_s <= tau)).sum()) + int((bs & (dist_to_g <= tau)).sum())
+    hits = int((bg & _disk_dilate(bs, tau)).sum()) + int((bs & _disk_dilate(bg, tau)).sum())
     return hits / (n_bg + n_bs)
 
 

@@ -27,14 +27,39 @@ N_FEATURES = len(FEATURE_NAMES)
 MODEL_SCHEMA_VERSION = 1
 
 
+class _WorkArrays:
+    """Full-size (H, W) float64 arrays for one forward and backward pass.
+
+    A step needs half a dozen such intermediates.  Allocated afresh each
+    step, they go back to the C heap when it ends; the heap then returns
+    the pages to the system and faults them in again on the next step,
+    which costs more than the arithmetic.  A model keeps one set per
+    image shape and reuses it.
+    """
+
+    def __init__(self, shape: tuple[int, int]):
+        self.inside, self.signed, self.raw, self.p, self.t, self.u = (
+            np.empty(shape) for _ in range(6))
+
+
 @dataclass
 class ToyModel:
-    """Logistic weights plus AdamW moment state."""
+    """Logistic weights plus AdamW moment state.
+
+    Calls on one model share its work arrays, so they must not run
+    concurrently.
+    """
 
     weights: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
     m: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
     v: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
     step: int = 0
+    work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def work_arrays(self, shape: tuple[int, int]) -> _WorkArrays:
+        if shape not in self.work:
+            self.work[shape] = _WorkArrays(shape)
+        return self.work[shape]
 
 
 @dataclass(frozen=True)
@@ -57,13 +82,41 @@ class TrainConfig:
             raise ValueError("scheduler_patience must be >= 1")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _feature_parts(image: np.ndarray, box: BoundingBox,
+                   work: _WorkArrays) -> tuple[np.ndarray, ...]:
+    """The six features, in FEATURE_NAMES order, as 2-D arrays that broadcast to (H, W).
+
+    The bias is (1, 1), the center offsets are (1, W) and (H, 1); the
+    intensity, inside-box indicator and signed edge distance are (H, W),
+    the last two written into work.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    h, w = image.shape
+    if not box.within_image(w, h):
+        raise BoxOutOfBounds(f"box exceeds image extent {w}x{h}")
+
+    px = (np.arange(w, dtype=np.float64) + 0.5)[None, :]
+    py = (np.arange(h, dtype=np.float64) + 0.5)[:, None]
+
+    inside = ((px >= box.x_min) & (px <= box.x_max)
+              & (py >= box.y_min) & (py <= box.y_max))
+    np.copyto(work.inside, inside)
+
+    # Signed distance to the box boundary: interior edge distance when
+    # inside, minus the Euclidean distance to the box when outside.
+    dx_out = np.maximum(np.maximum(box.x_min - px, px - box.x_max), 0.0)
+    dy_out = np.maximum(np.maximum(box.y_min - py, py - box.y_max), 0.0)
+    signed = np.minimum(np.minimum(px - box.x_min, box.x_max - px),
+                        np.minimum(py - box.y_min, box.y_max - py), out=work.signed)
+    np.maximum(signed, 0.0, out=signed)
+    outside = np.hypot(dx_out, dy_out, out=work.t)
+    np.negative(outside, out=signed, where=~inside)
+    signed /= 0.5 * min(box.width, box.height)
+    np.clip(signed, -1.0, 1.0, out=signed)
+
+    bcx, bcy = box.center
+    return (np.ones((1, 1)), image, work.inside, signed,
+            np.abs(px - bcx) / box.width, np.abs(py - bcy) / box.height)
 
 
 def featurize(image: np.ndarray, box: BoundingBox) -> np.ndarray:
@@ -73,58 +126,54 @@ def featurize(image: np.ndarray, box: BoundingBox) -> np.ndarray:
     signed distance to the nearest box edge (normalized by half the
     shorter side, clamped to [-1, 1], positive inside), and the absolute
     offsets from the box center normalized by box width/height.
+    Training never builds this grid; it works on the broadcast parts.
     """
-    image = np.asarray(image, dtype=np.float64)
-    h, w = image.shape
-    if not box.within_image(w, h):
-        raise BoxOutOfBounds(f"box exceeds image extent {w}x{h}")
+    parts = _feature_parts(image, box, _WorkArrays(np.shape(image)))
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
-    cx = np.arange(w, dtype=np.float64) + 0.5
-    cy = np.arange(h, dtype=np.float64) + 0.5
-    px, py = np.meshgrid(cx, cy)
 
-    inside = ((px >= box.x_min) & (px <= box.x_max)
-              & (py >= box.y_min) & (py <= box.y_max))
-
-    # Signed distance to the box boundary: interior edge distance when
-    # inside, minus the Euclidean distance to the box when outside.
-    dx_out = np.maximum(np.maximum(box.x_min - px, px - box.x_max), 0.0)
-    dy_out = np.maximum(np.maximum(box.y_min - py, py - box.y_max), 0.0)
-    edge_in = np.minimum(np.minimum(px - box.x_min, box.x_max - px),
-                         np.minimum(py - box.y_min, box.y_max - py))
-    signed = np.where(inside, np.maximum(edge_in, 0.0), -np.hypot(dx_out, dy_out))
-    half_short = 0.5 * min(box.width, box.height)
-    signed = np.clip(signed / half_short, -1.0, 1.0)
-
-    bcx, bcy = box.center
-    feats = np.empty((h, w, N_FEATURES))
-    feats[:, :, 0] = 1.0
-    feats[:, :, 1] = image
-    feats[:, :, 2] = inside.astype(np.float64)
-    feats[:, :, 3] = signed
-    feats[:, :, 4] = np.abs(px - bcx) / box.width
-    feats[:, :, 5] = np.abs(py - bcy) / box.height
-    return feats
+def _forward(model: ToyModel, image: np.ndarray, box: BoundingBox):
+    """Work arrays holding the sigmoid (raw) and its clipped value (p), and the features."""
+    work = model.work_arrays(np.shape(image))
+    parts = _feature_parts(image, box, work)
+    z = work.raw
+    z.fill(0.0)
+    for weight, part in zip(model.weights, parts):
+        z += np.multiply(part, weight, out=work.t[:part.shape[0], :part.shape[1]])
+    # Logistic without overflow: 1/(1+e) for z >= 0 and e/(1+e) below, e = exp(-|z|).
+    neg = z < 0
+    np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    np.add(z, 1.0, out=work.t)
+    np.divide(z, work.t, out=z, where=neg)
+    np.divide(1.0, work.t, out=z, where=~neg)
+    np.clip(z, loss_mod.CLIP_EPS, 1.0 - loss_mod.CLIP_EPS, out=work.p)
+    return work, parts
 
 
 def predict(model: ToyModel, image: np.ndarray, box: BoundingBox) -> np.ndarray:
     """Clipped per-pixel foreground probabilities."""
-    feats = featurize(image, box)
-    return loss_mod.clip_probabilities(_sigmoid(feats @ model.weights))
+    work, _ = _forward(model, image, box)
+    return work.p.copy()
 
 
 def weight_gradient(model: ToyModel, image: np.ndarray, mask: np.ndarray,
                     box: BoundingBox) -> tuple[np.ndarray, loss_mod.LossReport]:
     """Gradient of the combined loss w.r.t. the weights, plus the loss report."""
-    feats = featurize(image, box)
-    raw = _sigmoid(feats @ model.weights)
-    p = loss_mod.clip_probabilities(raw)
-    report = loss_mod.combined_loss(p, mask)
-    grad_p = loss_mod.loss_gradient(p, np.asarray(mask, dtype=np.float64))
+    work, parts = _forward(model, image, box)
+    report = loss_mod.combined_loss_into(work.p, mask, work.t, grad_out=work.u)
     # Chain rule through the logistic; clipped pixels contribute nothing.
-    dp_dz = np.where((raw > loss_mod.CLIP_EPS) & (raw < 1.0 - loss_mod.CLIP_EPS),
-                     raw * (1.0 - raw), 0.0)
-    grad_w = np.einsum("hw,hwk->k", grad_p * dp_dz, feats)
+    raw = work.raw
+    dp_dz = np.subtract(1.0, raw, out=work.t)
+    dp_dz *= raw
+    dp_dz[(raw <= loss_mod.CLIP_EPS) | (raw >= 1.0 - loss_mod.CLIP_EPS)] = 0.0
+    resid = np.multiply(work.u, dp_dz, out=work.u)
+    grad_w = np.empty(N_FEATURES)
+    for k, part in enumerate(parts):
+        # sum(resid * part); a part that is constant along an axis takes
+        # the residual's sums along that axis instead.
+        axes = tuple(i for i in (0, 1) if part.shape[i] == 1)
+        r = resid.sum(axis=axes, keepdims=True) if axes else resid
+        grad_w[k] = np.multiply(r, part, out=work.t[:part.shape[0], :part.shape[1]]).sum()
     return grad_w, report
 
 
@@ -163,12 +212,12 @@ class EpochRecord:
     lr: float
 
 
-def _mean_val_loss(model: ToyModel, samples) -> float:
+def _mean_val_loss(model: ToyModel, prompted) -> float:
+    """Mean combined loss over (sample, prompt box) pairs."""
     losses = []
-    for sample in samples:
-        box = box_from_mask(sample.mask)
-        p = predict(model, sample.image, box)
-        losses.append(loss_mod.combined_loss(p, sample.mask).combined)
+    for sample, box in prompted:
+        work, _ = _forward(model, sample.image, box)
+        losses.append(loss_mod.combined_loss_into(work.p, sample.mask, work.t).combined)
     return float(np.mean(losses))
 
 
@@ -181,6 +230,8 @@ def train(split, cfg: TrainConfig) -> tuple[ToyModel, list[EpochRecord]]:
     """
     if not split.train or not split.val:
         raise EmptyDataset("train and val splits must be nonempty")
+    train_boxes = [box_from_mask(sample.mask) for sample in split.train]
+    val_prompted = [(sample, box_from_mask(sample.mask)) for sample in split.val]
     model = ToyModel()
     history: list[EpochRecord] = []
     lr = cfg.lr
@@ -188,15 +239,14 @@ def train(split, cfg: TrainConfig) -> tuple[ToyModel, list[EpochRecord]]:
     stale = 0
     for epoch in range(1, cfg.epochs + 1):
         train_losses = []
-        for idx, sample in enumerate(split.train):
+        for idx, (sample, gt_box) in enumerate(zip(split.train, train_boxes)):
             h, w = sample.image.shape
-            gt_box = box_from_mask(sample.mask)
             rng = make_rng(cfg.seed, epoch, idx)
             box = perturb_prompt(gt_box, w, h, cfg, rng)
             report = train_step(model, sample.image, sample.mask, box,
                                 cfg.lam, lr)
             train_losses.append(report.combined)
-        val_loss = _mean_val_loss(model, split.val)
+        val_loss = _mean_val_loss(model, val_prompted)
         history.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(train_losses)),
                                    val_loss=val_loss, lr=lr))
         if val_loss < best_val:

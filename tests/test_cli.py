@@ -161,6 +161,24 @@ def test_eval_singleton_distance_case(tmp_path):
     assert json.loads(out.read_text())["nsd"] == 0.0
 
 
+@pytest.mark.parametrize("tau", ["-1", "-0.5", "nan", "-inf"])
+def test_eval_rejects_bad_tau(tmp_path, capsys, mask_file, tau):
+    out = tmp_path / "eval.json"
+    assert run("eval", "--gt", str(mask_file), "--pred", str(mask_file),
+               f"--tau={tau}", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("boxperturb: --tau must be >= 0")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_eval_infinite_tau(tmp_path, mask_file):
+    out = tmp_path / "eval.json"
+    assert run("eval", "--gt", str(mask_file), "--pred", str(mask_file),
+               "--tau", "inf", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["nsd"] == 1.0
+
+
 def test_eval_dimension_mismatch_exit(tmp_path, mask_file):
     other = tmp_path / "other.pgm"
     data_mod.write_mask_pgm(other, np.zeros((8, 8), dtype=bool))
@@ -217,7 +235,13 @@ def test_train_missing_dataset_exit(tmp_path):
                "--history", str(tmp_path / "h.csv")) == 2
 
 
-@pytest.mark.parametrize("manifest", ["{bad", '{"samples": []}', "[]"])
+@pytest.mark.parametrize("manifest", [
+    "{bad", '{"samples": []}', "[]", '{"samples": [], "splits": []}',
+    '{"samples": [], "splits": {"train": ["x"]}}',
+    '{"samples": [{"id": "x", "image": "x.f32g"}], "splits": {"train": ["x"]}}',
+    '{"samples": [{"id": [1], "image": "a", "mask": "b"}], "splits": {}}',
+    '{"samples": [], "splits": {"train": [["x"]]}}',
+])
 def test_train_malformed_manifest_exit(tmp_path, capsys, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     model = tmp_path / "m.json"

@@ -5,8 +5,8 @@ import pytest
 
 from boxperturb.errors import DimensionMismatch, DomainError
 from boxperturb.loss import (CLIP_EPS, bce, clip_probabilities, combined_loss,
-                             dice_loss, final_loss, loss_gradient,
-                             weight_decay_penalty)
+                             combined_loss_into, dice_loss, final_loss,
+                             loss_gradient, weight_decay_penalty)
 from boxperturb.rng import make_rng
 
 from oracles import finite_difference
@@ -148,3 +148,16 @@ def test_permutation_invariance():
     g2 = g.ravel()[perm].reshape(8, 8)
     assert bce(s2, g2) == pytest.approx(bce(s, g), rel=1e-12)
     assert dice_loss(s2, g2) == pytest.approx(dice_loss(s, g), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (16, 16), (33, 20)])
+def test_combined_loss_into_matches_reference_exactly(shape):
+    for i in range(20):
+        rng = make_rng(960, i, *shape)
+        # Include saturated pixels, which clip to CLIP_EPS and 1 - CLIP_EPS.
+        s = clip_probabilities(1.0 / (1.0 + np.exp(-rng.normal(0.0, 20.0, size=shape))))
+        g = rng.random(shape) < rng.uniform(0.0, 1.0)
+        tmp, grad = np.empty(shape), np.empty(shape)
+        assert combined_loss_into(s, g, tmp) == combined_loss(s, g)
+        assert combined_loss_into(s, g, tmp, grad_out=grad) == combined_loss(s, g)
+        assert (grad == loss_gradient(s, g.astype(np.float64))).all()

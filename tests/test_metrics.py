@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,19 @@ def test_distance_transform_matches_brute_force_exactly():
         assert (distance_transform(src) == brute_distance_grid(src)).all()
 
 
+def test_distance_transform_memory_bounded():
+    # An unblocked column pass broadcasts an (h, h, w) float64 array: 512 MiB here.
+    src = np.zeros((1024, 64), dtype=bool)
+    src[::97, ::13] = True
+    tracemalloc.start()
+    try:
+        distance_transform(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 def test_nsd_identical_masks():
     m = random_mask((306, 0), p=0.2)
     for tau in (0.0, 1.0, 2.0, 5.0):
@@ -150,6 +166,63 @@ def test_nsd_matches_brute_force_exactly():
         g = random_mask((307, i), p=0.08)
         s = random_mask((308, i), p=0.08)
         assert nsd(g, s, 2.0) == brute_nsd(g, s, 2.0)
+
+
+SQRT2, SQRT5, SQRT13 = math.sqrt(2.0), math.sqrt(5.0), math.sqrt(13.0)
+# Float neighbours of sqrt(n) sit on either side of the distance sqrt(n).
+# At tau = sqrt(13), tau * tau rounds below 13, so a squared test
+# (n <= tau * tau) would miss an offset that the transform's test
+# sqrt(n) <= tau includes.
+EDGE_TAUS = (0.0, 0.5, 1.0,
+             np.nextafter(SQRT2, 0.0), SQRT2, np.nextafter(SQRT2, 4.0),
+             np.nextafter(SQRT5, 0.0), SQRT5, np.nextafter(SQRT5, 4.0),
+             np.nextafter(SQRT13, 0.0), SQRT13, np.nextafter(SQRT13, 4.0),
+             7.3, 50.0, 1e9, math.inf)
+
+
+def transform_nsd(g, s, tau):
+    """NSD by thresholding the exact distance transform of each boundary."""
+    bg, bs = boundary(g), boundary(s)
+    if not bg.any() and not bs.any():
+        return 1.0
+    if not bg.any() or not bs.any():
+        return 0.0
+    hits = (int((bg & (distance_transform(bs) <= tau)).sum())
+            + int((bs & (distance_transform(bg) <= tau)).sum()))
+    return hits / (int(bg.sum()) + int(bs.sum()))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (2, 33), (33, 3),
+                                   (16, 48), (48, 16), (64, 64)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_nsd_matches_transform_threshold(shape):
+    for i in range(12):
+        rng = make_rng(312, i, *shape)
+        p = rng.uniform(0.02, 0.5)
+        g = rng.random(shape) < p
+        s = rng.random(shape) < p
+        for tau in EDGE_TAUS:
+            assert nsd(g, s, tau) == transform_nsd(g, s, tau)
+
+
+@pytest.mark.parametrize("offset, root", [((1, 1), SQRT2), ((2, 3), SQRT13)],
+                         ids=["sqrt2", "sqrt13"])
+def test_nsd_sqrt_edge_taus(offset, root):
+    # Two boundary pixels sqrt(n) apart count as hits from tau = sqrt(n) up.
+    g = np.zeros((5, 5), dtype=bool)
+    s = np.zeros((5, 5), dtype=bool)
+    g[0, 0] = True
+    s[offset] = True
+    assert nsd(g, s, np.nextafter(root, 0.0)) == 0.0
+    assert nsd(g, s, root) == 1.0
+    assert nsd(g, s, math.inf) == 1.0
+
+
+@pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan, -math.inf])
+def test_nsd_rejects_bad_tau(tau):
+    m = random_mask((313, 0), shape=(8, 8), p=0.3)
+    with pytest.raises(ValueError):
+        nsd(m, m, tau)
 
 
 def test_nsd_symmetry_and_monotone_in_tau():

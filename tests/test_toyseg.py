@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from boxperturb import data as data_mod
+from boxperturb import loss as loss_mod
 from boxperturb import toyseg
 from boxperturb.errors import BoxOutOfBounds, EmptyDataset
 from boxperturb.geometry import BoundingBox
@@ -141,6 +144,41 @@ def test_weight_gradient_matches_finite_differences():
         numeric = finite_difference(objective, w)
         scale = np.maximum(np.abs(numeric), 1e-8)
         assert (np.abs(analytic - numeric) / scale).max() < 1e-4
+
+
+def test_weight_gradient_matches_feature_tensor():
+    # Reference: the residual contracted with the full (H, W, 6) feature grid.
+    image = small_image(24, 31)
+    rng = make_rng(507)
+    mask = rng.random((24, 31)) < 0.3
+    for i, box in enumerate((BoundingBox(3, 4, 20, 17), BoundingBox(0, 0, 31, 24),
+                             BoundingBox(10.5, 2.25, 12.0, 9.75))):
+        w = make_rng(508, i).normal(0, 1, size=toyseg.N_FEATURES)
+        analytic, _ = toyseg.weight_gradient(toyseg.ToyModel(weights=w), image, mask, box)
+        feats = toyseg.featurize(image, box)
+        raw = 1.0 / (1.0 + np.exp(-(feats @ w)))
+        p = loss_mod.clip_probabilities(raw)
+        grad_p = loss_mod.loss_gradient(p, mask.astype(np.float64))
+        dp_dz = np.where((raw > loss_mod.CLIP_EPS) & (raw < 1.0 - loss_mod.CLIP_EPS),
+                         raw * (1.0 - raw), 0.0)
+        expected = np.einsum("hw,hwk->k", grad_p * dp_dz, feats)
+        assert np.allclose(analytic, expected, rtol=1e-12, atol=0.0)
+
+
+def test_train_step_allocates_no_full_size_arrays():
+    image = small_image(128, 128)
+    mask = make_rng(509).random((128, 128)) < 0.2
+    model = toyseg.ToyModel(weights=make_rng(510).normal(0, 1, size=toyseg.N_FEATURES))
+    toyseg.train_step(model, image, mask, BoundingBox(20, 30, 90, 100), 1e-4, 0.01)
+    tracemalloc.start()
+    try:
+        toyseg.train_step(model, image, mask, BoundingBox(25, 10, 120, 80), 1e-4, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 1.2 arrays' worth of masks and cast buffers; the (H, W, 6)
+    # feature grid alone would be 6.
+    assert peak < 2 * image.nbytes
 
 
 def test_perturb_prompt_modes():
