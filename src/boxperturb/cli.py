@@ -3,7 +3,7 @@
 Subcommands: perturb, eval, gen, train, ablate, preprocess.  Every
 output artifact embeds the fully-resolved configuration and a schema
 version; all commands are deterministic given their flags and seeds.
-Exit codes: 0 success, 1 usage error, 2 data/I-O error.
+Exit codes: 0 success, 1 usage error or bad value, 2 data/I-O error.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
 from .rng import make_rng
 
 SCHEMA_VERSION = 1
-
-
-class UsageError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -98,16 +94,16 @@ def read_run_config(path=None) -> RunConfig:
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected `key = value`")
+                raise ValueError(f"{path}:{lineno}: expected `key = value`")
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in defaults:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _parse_value(value.strip(), defaults[key])
                 config = RunConfig.from_values(values)
             except ValueError as e:
-                raise UsageError(f"{path}:{lineno}: {key}: {e}") from None
+                raise ValueError(f"{path}:{lineno}: {key}: {e}") from None
     return config
 
 
@@ -125,7 +121,7 @@ def _fmt(x: float) -> str:
 
 def cmd_perturb(args) -> int:
     if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     config = read_run_config(args.config)
     if args.seed is not None:
         config = replace(config, train=replace(config.train, seed=args.seed))
@@ -161,18 +157,18 @@ def cmd_perturb(args) -> int:
 
 def cmd_eval(args) -> int:
     if not args.tau >= 0:  # also rejects NaN
-        raise UsageError(f"--tau must be >= 0, got {args.tau}")
+        raise ValueError(f"--tau must be >= 0, got {args.tau}")
     gt = data_mod.read_mask_pgm(args.gt)
     pred = data_mod.read_mask_pgm(args.pred)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "dsc": dsc(gt, pred),
         "nsd": nsd(gt, pred, args.tau),
-        "tau": args.tau,
+        "tau": args.tau if math.isfinite(args.tau) else "inf",
         "gt_pixels": int(gt.sum()),
         "pred_pixels": int(pred.sum()),
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -356,14 +352,14 @@ def main(argv=None) -> int:
     outputs = [Path(p) for p in args.outputs(args)]
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"boxperturb: {e}", file=sys.stderr)
-        return 1
-    except (BoxPerturbError, OSError, RuntimeError) as e:
-        for path in outputs:
-            path.unlink(missing_ok=True)
-        print(f"boxperturb: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    except (BoxPerturbError, OSError, RuntimeError) as e:  # before its base, ValueError
+        message, code = f"{type(e).__name__}: {e}", 2
+    except ValueError as e:  # a bad flag, config value, size or other value
+        message, code = str(e), 1
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    print(f"boxperturb: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import (BadMagic, EmptyDataset, InvalidWindow, MalformedHeader,
                      MalformedManifest, SizeMismatch, TruncatedPayload,
                      UnsupportedMaxval)
 from .geometry import box_from_mask
+from .metrics import disk_dilate
 from .rng import make_rng
 
 FOREGROUND_MEAN = 0.7
@@ -53,18 +55,17 @@ def split_counts(n: int) -> tuple[int, int, int]:
 
 
 def _ellipse_mask(grid: int, cx: float, cy: float, a: float, b: float) -> np.ndarray:
-    xs = np.arange(grid) + 0.5
-    ys = np.arange(grid) + 0.5
-    px, py = np.meshgrid(xs, ys)
-    return ((px - cx) / a) ** 2 + ((py - cy) / b) ** 2 <= 1.0
+    centers = np.arange(grid) + 0.5
+    return ((centers[None, :] - cx) / a) ** 2 + ((centers[:, None] - cy) / b) ** 2 <= 1.0
 
 
-def _min_gap(target: np.ndarray, other: np.ndarray) -> float:
-    """Smallest center-to-center distance between the two pixel sets."""
-    tr, tc = np.nonzero(target)
-    orr, oc = np.nonzero(other)
-    d2 = ((tr[:, None] - orr[None, :]) ** 2 + (tc[:, None] - oc[None, :]) ** 2)
-    return float(np.sqrt(d2.min()))
+def _render(fg: np.ndarray, mask: np.ndarray, placed: int,
+            rng: np.random.Generator) -> SyntheticSample:
+    """Noisy image of the foreground fg, with mask as the labelled target."""
+    image = np.where(fg, FOREGROUND_MEAN, BACKGROUND_MEAN)
+    image = np.clip(image + rng.normal(0.0, NOISE_SIGMA, size=image.shape), 0.0, 1.0)
+    return SyntheticSample(image=image, mask=mask, distractor_count=placed,
+                           target_area_fraction=float(mask.sum() / mask.size))
 
 
 def _gen_standard_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
@@ -92,12 +93,18 @@ def _gen_standard_sample(grid: int, rng: np.random.Generator) -> SyntheticSample
         fg |= _ellipse_mask(grid, dx, dy, r, r)
         placed += 1
 
-    image = np.where(fg, FOREGROUND_MEAN, BACKGROUND_MEAN)
-    image = np.clip(image + rng.normal(0.0, NOISE_SIGMA, size=image.shape), 0.0, 1.0)
-    frac = mask.sum() / (grid * grid)
-    assert mask.any() and 0.0 < frac
-    return SyntheticSample(image=image, mask=mask, distractor_count=placed,
-                           target_area_fraction=float(frac))
+    sample = _render(fg, mask, placed, rng)
+    assert mask.any() and 0.0 < sample.target_area_fraction
+    return sample
+
+
+def _near_test(target: np.ndarray):
+    """Predicate: does another mask come within 10 px of target?"""
+    # Pixels that close lie in target's box grown by 10 px; only that window is dilated.
+    box = box_from_mask(target)
+    win = np.s_[max(int(box.y_min) - 10, 0):int(box.y_max) + 10,
+                max(int(box.x_min) - 10, 0):int(box.x_max) + 10]
+    return lambda other: bool((target[win] & disk_dilate(other[win], 10.0)).any())
 
 
 def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
@@ -110,6 +117,7 @@ def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
         if not mask.any() or mask.sum() >= 0.01 * grid * grid:
             continue
 
+        is_near = _near_test(mask)
         fg = mask.copy()
         n_distract = int(rng.integers(1, 4))
         placed = 0
@@ -128,21 +136,21 @@ def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
             dmask = _ellipse_mask(grid, dx, dy, dr, dr)
             if not dmask.any() or (dmask & mask).any():
                 continue
-            if _min_gap(mask, dmask) <= 10.0:
-                near_ok = True
+            near_ok = near_ok or is_near(dmask)
             fg |= dmask
             placed += 1
-        if placed == 0 or not near_ok:
+        if not near_ok:  # also when no distractor was placed
             continue
 
-        image = np.where(fg, FOREGROUND_MEAN, BACKGROUND_MEAN)
-        image = np.clip(image + rng.normal(0.0, NOISE_SIGMA, size=image.shape),
-                        0.0, 1.0)
-        frac = mask.sum() / (grid * grid)
-        assert 0.0 < frac < 0.01
-        return SyntheticSample(image=image, mask=mask, distractor_count=placed,
-                               target_area_fraction=float(frac))
+        sample = _render(fg, mask, placed, rng)
+        assert 0.0 < sample.target_area_fraction < 0.01
+        return sample
     raise RuntimeError("failed to place a valid tiny-suite sample")
+
+
+# Smallest grids: below 60 the tiny radius range [2.5, 0.75 * max_r] is empty; from
+# 13 up both standard semi-axes are >= sqrt(2)/2, so the target covers a pixel center.
+_SUITES = {"standard": (13, _gen_standard_sample), "tiny": (60, _gen_tiny_sample)}
 
 
 def gen_synthetic(n: int, suite: str = "standard", grid: int = 128,
@@ -153,10 +161,12 @@ def gen_synthetic(n: int, suite: str = "standard", grid: int = 128,
     sample index, so generation order does not affect the result.
     """
     if n < 10:
-        raise ValueError("n must be >= 10 so every split is nonempty")
-    if suite not in ("standard", "tiny"):
+        raise ValueError(f"n must be >= 10 so every split is nonempty, got {n}")
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    gen = _gen_standard_sample if suite == "standard" else _gen_tiny_sample
+    min_grid, gen = _SUITES[suite]
+    if grid < min_grid:
+        raise ValueError(f"grid must be >= {min_grid} for the {suite} suite, got {grid}")
     samples = [gen(grid, make_rng(seed, i)) for i in range(n)]
     for sample in samples:
         box_from_mask(sample.mask)  # generator contract: never empty
@@ -188,9 +198,10 @@ def resample_bilinear(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, in_h - 1)
     fx = (xs - x0)[None, :]
     fy = (ys - y0)[:, None]
-    top = image[np.ix_(y0, x0)] * (1 - fx) + image[np.ix_(y0, x1)] * fx
-    bottom = image[np.ix_(y1, x0)] * (1 - fx) + image[np.ix_(y1, x1)] * fx
-    return top * (1 - fy) + bottom * fy
+    # Blend each input row that the output reads along x, then those rows along y.
+    used, at = np.unique(np.concatenate((y0, y1)), return_inverse=True)
+    rows = image[used[:, None], x0] * (1 - fx) + image[used[:, None], x1] * fx
+    return rows[at[:out_h]] * (1 - fy) + rows[at[out_h:]] * fy
 
 
 def resample_nearest(mask: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
@@ -235,23 +246,22 @@ def read_mask_pgm(path) -> np.ndarray:
         data = f.read()
     if data[:2] not in (b"P2", b"P5"):
         raise MalformedHeader(f"not a P2/P5 PGM file: magic {data[:2]!r}")
-    ascii_format = data[:2] == b"P2"
     (width, height, maxval), pos = _read_pgm_tokens(data, 3, 2)
     if width < 1 or height < 1:
         raise MalformedHeader(f"invalid PGM dimensions {width}x{height}")
     if maxval < 1 or maxval > 255:
         raise UnsupportedMaxval(f"maxval {maxval} outside 1..255")
     count = width * height
-    if ascii_format:
+    if data[:2] == b"P2":
         values, _ = _read_pgm_tokens(data, count, pos)
-        pixels = np.array(values, dtype=np.int64)
+        pixels = np.array(values)  # no fixed dtype: a huge value must reach the range check
     else:
         payload = data[pos + 1:pos + 1 + count]
         if len(payload) < count:
             raise TruncatedPayload(
                 f"expected {count} pixel bytes, got {len(payload)}")
-        pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-    if np.any(pixels > maxval) or np.any(pixels < 0):
+        pixels = np.frombuffer(payload, dtype=np.uint8)
+    if pixels.min() < 0 or pixels.max() > maxval:
         raise MalformedHeader("pixel value outside 0..maxval")
     return (pixels > 0).reshape(height, width)
 
@@ -302,8 +312,6 @@ MANIFEST_SCHEMA_VERSION = 1
 
 def save_dataset(split: DatasetSplit, out_dir, suite: str, grid: int, seed: int):
     """Write image (F32G) / mask (PGM) pairs and a manifest with the splits."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = {"train": split.train, "val": split.val, "test": split.test}
@@ -333,8 +341,6 @@ def save_dataset(split: DatasetSplit, out_dir, suite: str, grid: int, seed: int)
 
 def load_dataset(data_dir) -> DatasetSplit:
     """Load a dataset written by save_dataset."""
-    from pathlib import Path
-
     root = Path(data_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():

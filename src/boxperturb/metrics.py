@@ -86,7 +86,7 @@ def distance_transform(source: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _disk_dilate(source: np.ndarray, tau: float) -> np.ndarray:
+def disk_dilate(source: np.ndarray, tau: float) -> np.ndarray:
     """True where some source pixel lies within Euclidean distance tau.
 
     An OR of the source over the integer offsets (dr, dc) with
@@ -134,7 +134,7 @@ def nsd(g: np.ndarray, s: np.ndarray, tau: float) -> float:
         return 1.0
     if n_bg == 0 or n_bs == 0:
         return 0.0
-    hits = int((bg & _disk_dilate(bs, tau)).sum()) + int((bs & _disk_dilate(bg, tau)).sum())
+    hits = int((bg & disk_dilate(bs, tau)).sum()) + int((bs & disk_dilate(bg, tau)).sum())
     return hits / (n_bg + n_bs)
 
 

@@ -98,19 +98,16 @@ def _feature_parts(image: np.ndarray, box: BoundingBox,
     px = (np.arange(w, dtype=np.float64) + 0.5)[None, :]
     py = (np.arange(h, dtype=np.float64) + 0.5)[:, None]
 
-    inside = ((px >= box.x_min) & (px <= box.x_max)
-              & (py >= box.y_min) & (py <= box.y_max))
-    np.copyto(work.inside, inside)
-
+    # In-box distances to the nearer edge along each axis, negative outside.
+    ex = np.minimum(px - box.x_min, box.x_max - px)
+    ey = np.minimum(py - box.y_min, box.y_max - py)
     # Signed distance to the box boundary: interior edge distance when
     # inside, minus the Euclidean distance to the box when outside.
-    dx_out = np.maximum(np.maximum(box.x_min - px, px - box.x_max), 0.0)
-    dy_out = np.maximum(np.maximum(box.y_min - py, py - box.y_max), 0.0)
-    signed = np.minimum(np.minimum(px - box.x_min, box.x_max - px),
-                        np.minimum(py - box.y_min, box.y_max - py), out=work.signed)
+    outside = np.hypot(np.maximum(-ex, 0.0), np.maximum(-ey, 0.0), out=work.t)
+    np.equal(outside, 0.0, out=work.inside)
+    signed = np.minimum(ex, ey, out=work.signed)
     np.maximum(signed, 0.0, out=signed)
-    outside = np.hypot(dx_out, dy_out, out=work.t)
-    np.negative(outside, out=signed, where=~inside)
+    signed -= outside
     signed /= 0.5 * min(box.width, box.height)
     np.clip(signed, -1.0, 1.0, out=signed)
 

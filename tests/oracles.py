@@ -64,3 +64,11 @@ def finite_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         xm = x.copy(); xm[idx] -= h
         grad[idx] = (fn(xp) - fn(xm)) / (2.0 * h)
     return grad
+
+
+def brute_min_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest center-to-center distance between two pixel sets, over all pairs."""
+    pa = np.argwhere(a)
+    pb = np.argwhere(b)
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.min()))

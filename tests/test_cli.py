@@ -172,11 +172,17 @@ def test_eval_rejects_bad_tau(tmp_path, capsys, mask_file, tau):
     assert not out.exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_eval_infinite_tau(tmp_path, mask_file):
     out = tmp_path / "eval.json"
     assert run("eval", "--gt", str(mask_file), "--pred", str(mask_file),
                "--tau", "inf", "--out", str(out)) == 0
-    assert json.loads(out.read_text())["nsd"] == 1.0
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["nsd"] == 1.0
+    assert doc["tau"] == "inf"
 
 
 def test_eval_dimension_mismatch_exit(tmp_path, mask_file):
@@ -207,6 +213,32 @@ def test_gen_regeneration_identical(tmp_path):
                    "--out-dir", str(d)) == 0
     for p1 in sorted(d1.iterdir()):
         assert p1.read_bytes() == (d2 / p1.name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["gen", "--n", "5"], "n must be >= 10", id="gen-n"),
+    pytest.param(["gen", "--suite", "tiny", "--grid", "48"],
+                 "grid must be >= 60 for the tiny suite", id="gen-tiny-grid"),
+    pytest.param(["gen", "--grid", "-5"],
+                 "grid must be >= 13 for the standard suite", id="gen-negative-grid"),
+    pytest.param(["gen", "--suite", "standard", "--grid", "6"],
+                 "grid must be >= 13 for the standard suite", id="gen-standard-grid"),
+    pytest.param(["preprocess", "--resize", "0", "5"],
+                 "output dimensions must be >= 1", id="preprocess-resize"),
+])
+def test_bad_size_arguments_exit_cleanly(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    if argv[0] == "gen":
+        argv = argv + ["--out-dir", str(out)] + ([] if "--n" in argv else ["--n", "10"])
+    else:
+        src = tmp_path / "raw.f32g"
+        data_mod.write_f32_grid(src, np.zeros((4, 4), dtype=np.float32))
+        argv = argv + ["--in", str(src), "--window", "0", "1", "--out", str(out)]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"boxperturb: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_and_history(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from boxperturb.errors import (BadMagic, InvalidWindow, MalformedHeader,
                                UnsupportedMaxval)
 from boxperturb.geometry import box_from_mask
 from boxperturb.rng import make_rng
+
+from oracles import brute_distance_grid, brute_min_gap
 
 
 def test_gen_deterministic_per_seed():
@@ -50,6 +54,63 @@ def test_tiny_suite_contracts():
         # A bright distractor structure exists outside the target mask.
         off_target_bright = (sample.image > 0.5) & ~sample.mask
         assert off_target_bright.sum() > sample.mask.sum()
+
+
+@pytest.mark.parametrize("suite, min_grid", [("standard", 13), ("tiny", 60)])
+def test_gen_minimum_grid(suite, min_grid):
+    with pytest.raises(ValueError, match=f"grid must be >= {min_grid} "):
+        data_mod.gen_synthetic(10, suite, grid=min_grid - 1)
+    for seed in range(4):
+        data_mod.gen_synthetic(10, suite, grid=min_grid, seed=seed)
+
+
+def test_tiny_generation_memory_bounded():
+    tracemalloc.start()
+    try:
+        data_mod.gen_synthetic(10, "tiny", grid=512, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The ten samples take 23.6 MiB; an all-pairs distance matrix between
+    # target and distractor pixels took 297 MiB here.
+    assert peak < 64 * 2**20
+
+
+# 99 is not a sum of two squares, so no two pixel centers are sqrt(99) apart.
+@pytest.mark.parametrize("gap2", [98, 100, 101])
+def test_near_test_matches_all_pairs_oracle(gap2):
+    grid, checked = 40, 0
+    for i in range(40):
+        rng = make_rng(605, gap2, i)
+        h, w = (int(v) for v in rng.integers(1, 7, 2))
+        # Most targets touch a grid border, where their window is clipped.
+        r0 = (0, grid - h, int(rng.integers(0, grid - h + 1)))[i % 3]
+        c0 = (grid - w, 0, int(rng.integers(0, grid - w + 1)), 0)[i % 4]
+        target = np.zeros((grid, grid), dtype=bool)
+        target[r0:r0 + h, c0:c0 + w] = rng.random((h, w)) < 0.7
+        target[r0, c0] = True
+        d2 = np.rint(brute_distance_grid(target) ** 2)
+        # One pixel exactly sqrt(gap2) from the target, the rest farther.
+        candidates = np.argwhere(d2 == gap2)
+        if len(candidates) == 0:
+            continue
+        other = (d2 > gap2) & (rng.random((grid, grid)) < 0.05)
+        other[tuple(candidates[rng.integers(len(candidates))])] = True
+        assert brute_min_gap(target, other) == np.sqrt(gap2)
+        assert data_mod._near_test(target)(other) is (brute_min_gap(target, other) <= 10.0)
+        checked += 1
+    assert checked >= 30
+
+
+def test_near_test_random_pairs():
+    for i in range(60):
+        rng = make_rng(606, i)
+        grid = int(rng.integers(1, 50))
+        target = rng.random((grid, grid)) < rng.uniform(0.002, 0.05)
+        other = rng.random((grid, grid)) < rng.uniform(0.002, 0.05)
+        if not (target.any() and other.any()):
+            continue
+        assert data_mod._near_test(target)(other) is (brute_min_gap(target, other) <= 10.0)
 
 
 def test_window_normalize_endpoints():
@@ -101,6 +162,41 @@ def test_resample_preserves_envelope():
         assert out.max() <= img.max() + 1e-12
 
 
+def four_gather_bilinear(image, out_w, out_h):
+    """Bilinear resampling with each output pixel's four neighbors gathered apart."""
+    in_h, in_w = image.shape
+    xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0.0, in_w - 1.0)
+    ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0.0, in_h - 1.0)
+    x0 = np.minimum(xs.astype(int), in_w - 2) if in_w > 1 else np.zeros(out_w, int)
+    y0 = np.minimum(ys.astype(int), in_h - 2) if in_h > 1 else np.zeros(out_h, int)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    fx = (xs - x0)[None, :]
+    fy = (ys - y0)[:, None]
+    top = image[np.ix_(y0, x0)] * (1 - fx) + image[np.ix_(y0, x1)] * fx
+    bottom = image[np.ix_(y1, x0)] * (1 - fx) + image[np.ix_(y1, x1)] * fx
+    return top * (1 - fy) + bottom * fy
+
+
+@pytest.mark.parametrize("in_hw, out_wh", [
+    ((1, 1), (1, 1)), ((1, 1), (5, 3)), ((7, 1), (1, 1)), ((1, 9), (4, 1)),
+    ((6, 6), (1, 1)), ((2, 3), (11, 13)), ((40, 3), (2, 60)), ((17, 29), (29, 17)),
+])
+def test_resample_matches_four_gather_formula(in_hw, out_wh):
+    image = make_rng(607).random(in_hw)
+    out = data_mod.resample_bilinear(image, *out_wh)
+    assert out.tobytes() == four_gather_bilinear(image, *out_wh).tobytes()
+
+
+def test_resample_matches_four_gather_formula_random_shapes():
+    for i in range(100):
+        rng = make_rng(608, i)
+        in_h, in_w, out_w, out_h = (int(v) for v in rng.integers(1, 40, 4))
+        image = rng.random((in_h, in_w))
+        out = data_mod.resample_bilinear(image, out_w, out_h)
+        assert out.tobytes() == four_gather_bilinear(image, out_w, out_h).tobytes()
+
+
 def test_resample_nearest_binary():
     mask = make_rng(602).random((10, 10)) < 0.5
     out = data_mod.resample_nearest(mask, 23, 17)
@@ -139,6 +235,18 @@ def test_pgm_malformed_and_truncated(tmp_path):
     short.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(TruncatedPayload):
         data_mod.read_mask_pgm(short)
+
+
+@pytest.mark.parametrize("content", [
+    b"P5\n2 1\n1\n\x00\x02", b"P5\n1 1\n254\n\xff", b"P2\n2 1\n255\n0 -1\n",
+    b"P2\n2 1\n7\n0 8\n", b"P2\n2 1\n255\n0 99999999999999999999999\n",
+    b"P2\n2 1\n255\n-99999999999999999999999 1\n",
+])
+def test_pgm_pixel_outside_maxval(tmp_path, content):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(content)
+    with pytest.raises(MalformedHeader, match="outside 0..maxval"):
+        data_mod.read_mask_pgm(path)
 
 
 def test_f32g_round_trip_bit_exact(tmp_path):

@@ -70,6 +70,62 @@ def test_featurize_out_of_bounds_box():
         toyseg.featurize(small_image(), BoundingBox(-1, 0, 10, 10))
 
 
+def four_way_featurize(image, box):
+    """The features with the inside test as four comparisons and a masked negation."""
+    h, w = image.shape
+    px, py = np.meshgrid(np.arange(w, dtype=np.float64) + 0.5,
+                         np.arange(h, dtype=np.float64) + 0.5)
+    inside = ((px >= box.x_min) & (px <= box.x_max)
+              & (py >= box.y_min) & (py <= box.y_max))
+    dx_out = np.maximum(np.maximum(box.x_min - px, px - box.x_max), 0.0)
+    dy_out = np.maximum(np.maximum(box.y_min - py, py - box.y_max), 0.0)
+    signed = np.minimum(np.minimum(px - box.x_min, box.x_max - px),
+                        np.minimum(py - box.y_min, box.y_max - py))
+    np.maximum(signed, 0.0, out=signed)
+    np.negative(np.hypot(dx_out, dy_out), out=signed, where=~inside)
+    signed /= 0.5 * min(box.width, box.height)
+    np.clip(signed, -1.0, 1.0, out=signed)
+    bcx, bcy = box.center
+    return np.stack([np.ones((h, w)), image, inside.astype(np.float64), signed,
+                     np.abs(px - bcx) / box.width, np.abs(py - bcy) / box.height],
+                    axis=-1)
+
+
+@pytest.mark.parametrize("shape, box", [
+    ((20, 20), BoundingBox(5, 5, 15, 15)),
+    ((20, 20), BoundingBox(8, 8, 12, 12)),
+    ((24, 31), BoundingBox(10.5, 2.25, 12.0, 9.75)),
+    ((24, 31), BoundingBox(0.5, 0.5, 1.5, 23.5)),
+    ((24, 31), BoundingBox(0, 0, 31, 24)),
+    ((24, 31), BoundingBox(0, 3, 7, 24)),
+    ((24, 31), BoundingBox(25.1, 0, 31, 0.3)),
+    ((1, 1), BoundingBox(0, 0, 1, 1)),
+    ((1, 1), BoundingBox(0.25, 0.5, 0.75, 1.0)),
+    ((1, 1), BoundingBox(0.0, 0.0, 0.4, 0.2)),
+    ((1, 9), BoundingBox(2, 0, 5, 1)),
+    ((9, 1), BoundingBox(0, 2.5, 0.5, 3)),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_featurize_matches_four_way_formula(shape, box):
+    image = make_rng(503).random(shape)
+    assert toyseg.featurize(image, box).tobytes() == four_way_featurize(image, box).tobytes()
+
+
+def test_featurize_matches_four_way_formula_random_boxes():
+    for i in range(200):
+        rng = make_rng(504, i)
+        h, w = (int(v) for v in rng.integers(1, 30, 2))
+        image = rng.random((h, w))
+        if i % 2:  # pixel-edge boxes
+            x0, x1 = sorted(rng.choice(w + 1, 2, replace=False))
+            y0, y1 = sorted(rng.choice(h + 1, 2, replace=False))
+        else:
+            x0, x1 = sorted(rng.uniform(0, w, 2))
+            y0, y1 = sorted(rng.uniform(0, h, 2))
+        box = BoundingBox(float(x0), float(y0), float(x1), float(y1))
+        assert (toyseg.featurize(image, box).tobytes()
+                == four_way_featurize(image, box).tobytes())
+
+
 def test_predict_zero_weights_is_half():
     model = toyseg.ToyModel()
     p = toyseg.predict(model, small_image(), BoundingBox(5, 5, 15, 15))
