@@ -12,14 +12,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
 from . import toyseg
-from .errors import BoxPerturbError, EmptyDataset
+from .errors import BoxPerturbError
 from .geometry import box_from_mask, coefficients_for
 from .metrics import dsc, nsd
 from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
@@ -107,16 +107,25 @@ def read_run_config(path=None) -> RunConfig:
     return config
 
 
-def _config_comment_lines(config: RunConfig) -> list[str]:
-    values = config.values()
-    lines = [f"# schema_version = {SCHEMA_VERSION}"]
-    for key in sorted(values):
-        lines.append(f"# {key} = {values[key]}")
-    return lines
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_csv(path, config: RunConfig, header, rows, notes=(), end_notes=()):
+    """Write a CSV artifact: schema and config comments, notes, header, rows, end notes.
+
+    Floats are written with 17 significant digits (they parse back
+    exactly), everything else with str; notes become `# ` comment lines.
+    """
+    values = config.values()
+    lines = [f"# schema_version = {SCHEMA_VERSION}"]
+    lines += [f"# {key} = {values[key]}" for key in sorted(values)]
+    lines += [f"# {note}" for note in notes]
+    lines.append(",".join(header))
+    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    lines += [f"# {note}" for note in end_notes]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cmd_perturb(args) -> int:
@@ -140,18 +149,16 @@ def cmd_perturb(args) -> int:
                      offsets.eps1, offsets.eps2, offsets.delta1, offsets.delta2,
                      p.resample_count))
 
-    lines = _config_comment_lines(config)
-    lines.append("draw,x_min,y_min,x_max,y_max,eps1,eps2,delta1,delta2,resamples")
-    for row in rows:
-        lines.append(",".join([str(row[0])] + [_fmt(v) for v in row[1:9]]
-                              + [str(row[9])]))
+    end_notes = []
     if args.stats:
         widths = [r[3] - r[1] for r in rows]
         heights = [r[4] - r[2] for r in rows]
-        lines.append(f"# stats: mean_width = {_fmt(np.mean(widths))}, "
-                     f"mean_height = {_fmt(np.mean(heights))}, "
-                     f"mean_aspect = {_fmt(np.mean(widths) / np.mean(heights))}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        end_notes.append(f"stats: mean_width = {_fmt(np.mean(widths))}, "
+                         f"mean_height = {_fmt(np.mean(heights))}, "
+                         f"mean_aspect = {_fmt(np.mean(widths) / np.mean(heights))}")
+    _write_csv(args.out, config,
+               "draw,x_min,y_min,x_max,y_max,eps1,eps2,delta1,delta2,resamples".split(","),
+               rows, end_notes=end_notes)
     return 0
 
 
@@ -185,12 +192,8 @@ def cmd_train(args) -> int:
     split = data_mod.load_dataset(args.data_dir)
     model, history = toyseg.train(split, config.train)
     toyseg.save_model(model, args.out, train_config_echo=config.values())
-    lines = _config_comment_lines(config)
-    lines.append("epoch,train_loss,val_loss,lr")
-    for rec in history:
-        lines.append(f"{rec.epoch},{_fmt(rec.train_loss)},"
-                     f"{_fmt(rec.val_loss)},{_fmt(rec.lr)}")
-    Path(args.history).write_text("\n".join(lines) + "\n")
+    _write_csv(args.history, config, [f.name for f in fields(toyseg.EpochRecord)],
+               [astuple(rec) for rec in history])
     return 0
 
 
@@ -218,57 +221,35 @@ def run_ablation(standard_split, tiny_split, config: RunConfig,
         cfg = replace(config.train, perturb=replace(
             perturb, scale_by_target=scale_by_target,
             eps_shrink=perturb.eps_shrink if bidirectional else 0.0))
+        row = {"config": row_name}
         model_std, _ = toyseg.train(standard_split, cfg)
-        regimes = {}
         for mode, f in (("standard", 0.0), ("expand", frac), ("shrink", frac)):
             res = toyseg.evaluate(model_std, standard_split.test,
                                   mode=mode, frac=f, tau=tau)
-            regimes[mode] = res
+            row[f"dsc_{mode}"] = res.dsc_mean
+            row[f"nsd_{mode}"] = res.nsd_mean
         model_tiny, _ = toyseg.train(tiny_split, cfg)
         tiny_res = toyseg.evaluate(model_tiny, tiny_split.test, tau=tau)
-        error_rate = float(np.mean(
+        row["error_rate"] = float(np.mean(
             [d < error_threshold for d in tiny_res.per_image_dsc]))
-        results.append({
-            "config": row_name,
-            "dsc_standard": regimes["standard"].dsc_mean,
-            "nsd_standard": regimes["standard"].nsd_mean,
-            "dsc_expand": regimes["expand"].dsc_mean,
-            "nsd_expand": regimes["expand"].nsd_mean,
-            "dsc_shrink": regimes["shrink"].dsc_mean,
-            "nsd_shrink": regimes["shrink"].nsd_mean,
-            "error_rate": error_rate,
-            "n_standard_test": len(standard_split.test),
-            "n_tiny_test": len(tiny_split.test),
-        })
+        row["n_standard_test"] = len(standard_split.test)
+        row["n_tiny_test"] = len(tiny_split.test)
+        results.append(row)
     return results
 
 
 def cmd_ablate(args) -> int:
     config = read_run_config(args.config)
     root = Path(args.data_dir)
-    for suite in ("standard", "tiny"):
-        if not (root / suite / "manifest.json").exists():
-            raise EmptyDataset(f"missing suite {suite!r} under {root}")
     standard_split = data_mod.load_dataset(root / "standard")
     tiny_split = data_mod.load_dataset(root / "tiny")
     rows = run_ablation(standard_split, tiny_split, config,
                         args.error_dsc_threshold)
-
-    lines = _config_comment_lines(config)
-    lines.append(f"# error_rate criterion: per-image DSC < "
-                 f"{args.error_dsc_threshold} on the tiny suite "
-                 f"(stand-in definition)")
-    lines.append(f"# expand/shrink prompt regimes move each edge by "
-                 f"{config.prompt_frac} of the side length (stand-in value)")
-    header = list(rows[0].keys())
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            row["config"] if k == "config"
-            else str(row[k]) if isinstance(row[k], int)
-            else _fmt(row[k])
-            for k in header))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_csv(args.out, config, rows[0].keys(), [row.values() for row in rows], notes=[
+        f"error_rate criterion: per-image DSC < {args.error_dsc_threshold} "
+        f"on the tiny suite (stand-in definition)",
+        f"expand/shrink prompt regimes move each edge by {config.prompt_frac} "
+        f"of the side length (stand-in value)"])
     return 0
 
 

@@ -14,10 +14,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySource
 
-# Elements of the (rows, h, w) temporary in one block of the distance
-# transform's column pass: 8 MiB of float64, or one output row if larger.
-_BLOCK_ELEMENTS = 1 << 20
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -57,33 +53,34 @@ def distance_transform(source: np.ndarray) -> np.ndarray:
 
     Two-pass algorithm over squared distances: a per-row scan to the
     nearest in-row source column, then a per-column minimization over
-    row offsets.  All intermediate squared distances are exact integers
-    in float64, so the result matches brute force bit for bit.  The
-    column pass runs in blocks of output rows, so memory stays O(h*w).
+    row offsets dr = 1, 2, ..., which stops once dr*dr reaches the
+    largest squared distance found so far (no farther row can lower
+    any).  All intermediate squared distances are exact integers in
+    float64, so the result matches brute force bit for bit.  Memory is
+    a few (h, w) arrays.
     """
     source = np.asarray(source, dtype=bool)
     if not source.any():
         raise EmptySource("distance transform needs at least one source pixel")
     h, w = source.shape
-    big = float(2 * (h * h + w * w) + 1)
-
     cols = np.arange(w, dtype=np.float64)
-    # Nearest source column to the left / right within each row.
-    left = np.where(source, cols, -np.inf)
-    left = np.maximum.accumulate(left, axis=1)
-    right = np.where(source, cols, np.inf)
-    right = np.minimum.accumulate(right[:, ::-1], axis=1)[:, ::-1]
-    d_left = np.where(np.isfinite(left), (cols - left) ** 2, big)
-    d_right = np.where(np.isfinite(right), (right - cols) ** 2, big)
-    row_sq = np.minimum(d_left, d_right)  # (h, w); big where the row has no source
+    # Squared distance to the nearest source column at or left of each
+    # pixel, in the grid and in its mirror image (so at or right of it).
+    # A row without one sees a source at -far, farther than any pixel
+    # pair, so it never wins a minimum.
+    far = float(h + w)
+    row_sq, buf = (np.square(cols - np.maximum.accumulate(np.where(src, cols, -far), axis=1))
+                   for src in (source, source[:, ::-1]))
+    np.minimum(row_sq, buf[:, ::-1], out=row_sq)
 
-    row_offsets = np.arange(h, dtype=np.float64)
-    sq = np.empty((h, w))
-    block = max(1, _BLOCK_ELEMENTS // (h * w))
-    for r0 in range(0, h, block):
-        dr2 = (row_offsets[r0:r0 + block, None] - row_offsets[None, :]) ** 2  # (block, h)
-        sq[r0:r0 + block] = (dr2[:, :, None] + row_sq[None, :, :]).min(axis=1)
-    return np.sqrt(sq)
+    sq = row_sq.copy()
+    for dr in range(1, h):
+        d2 = float(dr * dr)
+        if d2 >= sq.max():  # no farther row can lower any distance
+            break
+        np.minimum(sq[dr:], np.add(row_sq[:-dr], d2, out=buf[dr:]), out=sq[dr:])
+        np.minimum(sq[:-dr], np.add(row_sq[dr:], d2, out=buf[:-dr]), out=sq[:-dr])
+    return np.sqrt(sq, out=sq)
 
 
 def disk_dilate(source: np.ndarray, tau: float) -> np.ndarray:

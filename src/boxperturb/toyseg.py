@@ -38,8 +38,8 @@ class _WorkArrays:
     """
 
     def __init__(self, shape: tuple[int, int]):
-        self.inside, self.signed, self.raw, self.p, self.t, self.u = (
-            np.empty(shape) for _ in range(6))
+        self.inside, self.signed, self.p, self.t, self.u = (
+            np.empty(shape) for _ in range(5))
 
 
 @dataclass
@@ -130,10 +130,10 @@ def featurize(image: np.ndarray, box: BoundingBox) -> np.ndarray:
 
 
 def _forward(model: ToyModel, image: np.ndarray, box: BoundingBox):
-    """Work arrays holding the sigmoid (raw) and its clipped value (p), and the features."""
+    """Work arrays holding the clipped sigmoid (p), and the features."""
     work = model.work_arrays(np.shape(image))
     parts = _feature_parts(image, box, work)
-    z = work.raw
+    z = work.p
     z.fill(0.0)
     for weight, part in zip(model.weights, parts):
         z += np.multiply(part, weight, out=work.t[:part.shape[0], :part.shape[1]])
@@ -143,7 +143,7 @@ def _forward(model: ToyModel, image: np.ndarray, box: BoundingBox):
     np.add(z, 1.0, out=work.t)
     np.divide(z, work.t, out=z, where=neg)
     np.divide(1.0, work.t, out=z, where=~neg)
-    np.clip(z, loss_mod.CLIP_EPS, 1.0 - loss_mod.CLIP_EPS, out=work.p)
+    np.clip(z, loss_mod.CLIP_EPS, 1.0 - loss_mod.CLIP_EPS, out=z)
     return work, parts
 
 
@@ -158,11 +158,12 @@ def weight_gradient(model: ToyModel, image: np.ndarray, mask: np.ndarray,
     """Gradient of the combined loss w.r.t. the weights, plus the loss report."""
     work, parts = _forward(model, image, box)
     report = loss_mod.combined_loss_into(work.p, mask, work.t, grad_out=work.u)
-    # Chain rule through the logistic; clipped pixels contribute nothing.
-    raw = work.raw
-    dp_dz = np.subtract(1.0, raw, out=work.t)
-    dp_dz *= raw
-    dp_dz[(raw <= loss_mod.CLIP_EPS) | (raw >= 1.0 - loss_mod.CLIP_EPS)] = 0.0
+    # Chain rule through the logistic; clipped pixels (p at a clip bound)
+    # contribute nothing, and elsewhere p is the unclipped sigmoid.
+    p = work.p
+    dp_dz = np.subtract(1.0, p, out=work.t)
+    dp_dz *= p
+    dp_dz[(p <= loss_mod.CLIP_EPS) | (p >= 1.0 - loss_mod.CLIP_EPS)] = 0.0
     resid = np.multiply(work.u, dp_dz, out=work.u)
     grad_w = np.empty(N_FEATURES)
     for k, part in enumerate(parts):
@@ -192,15 +193,6 @@ def train_step(model: ToyModel, image: np.ndarray, mask: np.ndarray,
     return report
 
 
-def perturb_prompt(box: BoundingBox, image_w: int, image_h: int,
-                   cfg: TrainConfig, rng: np.random.Generator) -> BoundingBox:
-    """Draw the train-time prompt for a ground-truth box under cfg.perturb."""
-    pcfg = cfg.perturb
-    coeffs = coefficients_for(box, image_w, image_h, pcfg.theta_floor)
-    offsets = compute_offsets(pcfg, coeffs)
-    return sample_perturbed_box(box, offsets, image_w, image_h, pcfg, rng).box
-
-
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
@@ -222,12 +214,20 @@ def train(split, cfg: TrainConfig) -> tuple[ToyModel, list[EpochRecord]]:
     """Train on split.train with per-epoch validation on split.val.
 
     One image per optimizer step, fresh perturbation draw per image per
-    epoch, reduce-on-plateau schedule on the validation loss.  Fully
-    deterministic for a fixed config.
+    epoch from the stream (seed, epoch, image index), reduce-on-plateau
+    schedule on the validation loss.  Fully deterministic for a fixed
+    config.  Each training image's GT box and perturbation offsets are
+    fixed, so they are computed once per fit.
     """
     if not split.train or not split.val:
         raise EmptyDataset("train and val splits must be nonempty")
-    train_boxes = [box_from_mask(sample.mask) for sample in split.train]
+    pcfg = cfg.perturb
+    train_prompts = []
+    for sample in split.train:
+        h, w = sample.image.shape
+        gt_box = box_from_mask(sample.mask)
+        offsets = compute_offsets(pcfg, coefficients_for(gt_box, w, h, pcfg.theta_floor))
+        train_prompts.append((gt_box, offsets))
     val_prompted = [(sample, box_from_mask(sample.mask)) for sample in split.val]
     model = ToyModel()
     history: list[EpochRecord] = []
@@ -236,11 +236,11 @@ def train(split, cfg: TrainConfig) -> tuple[ToyModel, list[EpochRecord]]:
     stale = 0
     for epoch in range(1, cfg.epochs + 1):
         train_losses = []
-        for idx, (sample, gt_box) in enumerate(zip(split.train, train_boxes)):
+        for idx, (sample, (gt_box, offsets)) in enumerate(zip(split.train, train_prompts)):
             h, w = sample.image.shape
-            rng = make_rng(cfg.seed, epoch, idx)
-            box = perturb_prompt(gt_box, w, h, cfg, rng)
-            report = train_step(model, sample.image, sample.mask, box,
+            drawn = sample_perturbed_box(gt_box, offsets, w, h, pcfg,
+                                         make_rng(cfg.seed, epoch, idx))
+            report = train_step(model, sample.image, sample.mask, drawn.box,
                                 cfg.lam, lr)
             train_losses.append(report.combined)
         val_loss = _mean_val_loss(model, val_prompted)
@@ -284,23 +284,20 @@ def prompt_box_for_mode(gt_box: BoundingBox, mode: str, frac: float,
 
 
 def evaluate(model: ToyModel, samples, mode: str = "standard", frac: float = 0.0,
-             tau: float = 2.0, predict_fn=None) -> EvalResult:
+             tau: float = 2.0) -> EvalResult:
     """Macro-averaged DSC/NSD over samples under one prompt regime.
 
     Predictions are thresholded at p > 0.5 (strict; ties go to
-    background).  predict_fn may override the model's predictor, e.g.
-    for oracle baselines in tests.
+    background).
     """
     from .metrics import dsc as dsc_fn, nsd as nsd_fn
 
-    if predict_fn is None:
-        predict_fn = lambda image, box: predict(model, image, box)
     dscs, nsds = [], []
     for sample in samples:
         h, w = sample.image.shape
         gt_box = box_from_mask(sample.mask)
         box = prompt_box_for_mode(gt_box, mode, frac, w, h)
-        pred = predict_fn(sample.image, box) > 0.5
+        pred = predict(model, sample.image, box) > 0.5
         dscs.append(dsc_fn(sample.mask, pred))
         nsds.append(nsd_fn(sample.mask, pred, tau))
     return EvalResult(dsc_mean=float(np.mean(dscs)), nsd_mean=float(np.mean(nsds)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from boxperturb import data as data_mod
+from boxperturb import toyseg
 from boxperturb.cli import main, read_run_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -112,6 +113,24 @@ def test_perturb_scale_by_target_off_uses_raw_offsets(tmp_path, mask_file):
     rows = [line.split(",") for line in lines if line and not line.startswith("#")]
     for row in rows[1:]:
         assert [float(x) for x in row[5:9]] == [-20.0, -20.0, 20.0, 20.0]
+
+
+def test_perturb_stats_line_matches_rows(tmp_path, mask_file):
+    out = tmp_path / "out.csv"
+    assert run("perturb", "--mask", str(mask_file), "--n", "40", "--seed", "8",
+               "--stats", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0][:5] == ["draw", "x_min", "y_min", "x_max", "y_max"]
+    assert len(rows) == 41
+    boxes = np.array([[float(x) for x in row[1:5]] for row in rows[1:]])
+    widths, heights = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+    match = re.fullmatch(r"# stats: mean_width = (\S+), mean_height = (\S+), "
+                         r"mean_aspect = (\S+)", lines[-1])
+    assert match
+    stats = [float(x) for x in match.groups()]
+    assert stats == [np.mean(widths), np.mean(heights),
+                     np.mean(widths) / np.mean(heights)]
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -261,6 +280,25 @@ def test_train_and_history(tmp_path):
     assert model1.read_bytes() == model2.read_bytes()
 
 
+def test_train_history_floats_round_trip(tmp_path):
+    data_dir = tmp_path / "ds"
+    assert run("gen", "--n", "10", "--grid", "32", "--seed", "6",
+               "--out-dir", str(data_dir)) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 6\nlr = 0.3\nscheduler_patience = 1\nseed = 2\n")
+    hist = tmp_path / "h.csv"
+    assert run("train", "--data-dir", str(data_dir), "--config", str(cfg),
+               "--out", str(tmp_path / "m.json"), "--history", str(hist)) == 0
+    _, history = toyseg.train(data_mod.load_dataset(data_dir), read_run_config(cfg).train)
+    rows = [line.split(",") for line in hist.read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == ["epoch", "train_loss", "val_loss", "lr"]
+    assert len(rows) == 1 + len(history)
+    for row, rec in zip(rows[1:], history):
+        assert int(row[0]) == rec.epoch
+        assert [float(x) for x in row[1:]] == [rec.train_loss, rec.val_loss, rec.lr]
+
+
 def test_train_missing_dataset_exit(tmp_path):
     assert run("train", "--data-dir", str(tmp_path / "nope"),
                "--out", str(tmp_path / "m.json"),
@@ -310,12 +348,20 @@ def test_ablate_schema(tmp_path):
             assert 0.0 <= float(values[key]) <= 1.0
 
 
-def test_ablate_missing_suite_exit(tmp_path):
-    root = tmp_path / "ds"
-    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
-               "--out-dir", str(root / "standard")) == 0
-    assert run("ablate", "--data-dir", str(root),
-               "--out", str(tmp_path / "out.csv")) == 2
+def test_ablate_missing_suite_exit(tmp_path, capsys):
+    # The standard suite is loaded first, so it is the one named when both are missing.
+    cases = ((("standard",), "tiny"), (("tiny",), "standard"), ((), "standard"))
+    for i, (present, missing) in enumerate(cases):
+        root = tmp_path / f"ds{i}"
+        for suite in present:
+            assert run("gen", "--suite", suite, "--n", "10", "--grid", "64",
+                       "--seed", "4", "--out-dir", str(root / suite)) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert run("ablate", "--data-dir", str(root), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"boxperturb: EmptyDataset: no manifest.json in {root / missing}\n"
+        assert not out.exists()
 
 
 def test_preprocess_window_endpoints(tmp_path):

@@ -137,6 +137,49 @@ def test_distance_transform_memory_bounded():
     assert peak <= 16 * 2**20
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1), (2, 41), (41, 2), (23, 31)])
+def test_distance_transform_single_corner_source(shape):
+    # The farthest pixel is a whole grid away, so the column pass visits
+    # every row offset before it may stop.
+    h, w = shape
+    for r, c in ((0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)):
+        src = np.zeros(shape, dtype=bool)
+        src[r, c] = True
+        assert (distance_transform(src) == brute_distance_grid(src)).all()
+
+
+def test_distance_transform_early_stop_inputs():
+    # A full source stops the column pass at the first row offset, a full
+    # source column once dr*dr reaches its farthest pixel, and a full
+    # source row once dr reaches the farthest row.
+    shapes = ((1, 9), (9, 1), (12, 17), (17, 12))
+    for h, w in shapes:
+        sources = [np.ones((h, w), dtype=bool)]
+        for r in range(h):
+            src = np.zeros((h, w), dtype=bool)
+            src[r] = True
+            sources.append(src)
+        for c in range(w):
+            src = np.zeros((h, w), dtype=bool)
+            src[:, c] = True
+            sources.append(src)
+        for src in sources:
+            assert (distance_transform(src) == brute_distance_grid(src)).all()
+
+
+def test_distance_transform_memory_bounded_at_1024():
+    # A few (h, w) float64 arrays of 8 MiB each; the row-blocked column
+    # pass peaked at 56 MiB here.
+    src = random_mask((306, 0), shape=(1024, 1024), p=0.001)
+    tracemalloc.start()
+    try:
+        distance_transform(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 52 * 2**20
+
+
 def test_nsd_identical_masks():
     m = random_mask((306, 0), p=0.2)
     for tau in (0.0, 1.0, 2.0, 5.0):

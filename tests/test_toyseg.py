@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,9 @@ from boxperturb import data as data_mod
 from boxperturb import loss as loss_mod
 from boxperturb import toyseg
 from boxperturb.errors import BoxOutOfBounds, EmptyDataset
-from boxperturb.geometry import BoundingBox
+from boxperturb.geometry import BoundingBox, box_from_mask, coefficients_for
 from boxperturb.loss import bce, dice_loss
-from boxperturb.perturb import PerturbationConfig
+from boxperturb.perturb import PerturbationConfig, compute_offsets
 from boxperturb.rng import make_rng
 
 from oracles import finite_difference
@@ -237,24 +238,48 @@ def test_train_step_allocates_no_full_size_arrays():
     assert peak < 2 * image.nbytes
 
 
-def test_perturb_prompt_modes():
-    box = BoundingBox(40, 40, 80, 70)
-    cfg_none = toyseg.TrainConfig(perturb=NO_PERTURB)
-    assert toyseg.perturb_prompt(box, 128, 128, cfg_none, make_rng(503)) == box
-    cfg_base = toyseg.TrainConfig(
-        perturb=PerturbationConfig(eps_shrink=0.0, scale_by_target=False))
-    out = toyseg.perturb_prompt(box, 128, 128, cfg_base, make_rng(504))
-    assert out.contains_box(box)
-    for pcfg in (PerturbationConfig(), PerturbationConfig(eps_shrink=0.0),
-                 PerturbationConfig(scale_by_target=False)):
-        cfg = toyseg.TrainConfig(perturb=pcfg)
-        out = toyseg.perturb_prompt(box, 128, 128, cfg, make_rng(505))
-        assert out.within_image(128, 128)
-
-
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return data_mod.gen_synthetic(20, suite="standard", grid=48, seed=9)
+
+
+def test_train_draws_one_prompt_per_step(tiny_dataset, monkeypatch):
+    # Each step draws its prompt once, from the image's GT box and fixed
+    # offsets, with the stream keyed (seed, epoch, image index).
+    draws, prompts = [], []
+    real_sample, real_step = toyseg.sample_perturbed_box, toyseg.train_step
+
+    def sample(box, offsets, w, h, config, rng):
+        drawn = real_sample(box, offsets, w, h, config, copy.deepcopy(rng))
+        draws.append((box, offsets, w, h, config, rng, drawn))
+        return drawn
+
+    def step(model, image, mask, box, lam, lr):
+        prompts.append(box)
+        return real_step(model, image, mask, box, lam, lr)
+
+    monkeypatch.setattr(toyseg, "sample_perturbed_box", sample)
+    monkeypatch.setattr(toyseg, "train_step", step)
+    keys = [(epoch, idx) for epoch in (1, 2, 3) for idx in range(len(tiny_dataset.train))]
+    for pcfg in (PerturbationConfig(), PerturbationConfig(eps_shrink=0.0),
+                 PerturbationConfig(scale_by_target=False), NO_PERTURB):
+        draws.clear()
+        prompts.clear()
+        toyseg.train(tiny_dataset, toyseg.TrainConfig(perturb=pcfg, epochs=3, seed=7))
+        assert len(draws) == len(prompts) == len(keys)
+        for (epoch, idx), (box, offsets, w, h, config, rng, drawn), prompt in zip(
+                keys, draws, prompts):
+            sample = tiny_dataset.train[idx]
+            assert (h, w) == sample.image.shape
+            assert box == box_from_mask(sample.mask)
+            assert offsets == compute_offsets(
+                pcfg, coefficients_for(box, w, h, pcfg.theta_floor))
+            assert config == pcfg
+            assert rng.uniform() == make_rng(7, epoch, idx).uniform()
+            assert prompt == drawn.box
+            assert prompt.within_image(w, h)
+            if pcfg == NO_PERTURB:
+                assert prompt == box
 
 
 def test_train_reduces_val_loss(tiny_dataset):
@@ -307,11 +332,11 @@ def test_evaluate_expand_zero_equals_standard(tiny_dataset):
     assert std == exp0 == shr0
 
 
-def test_evaluate_perfect_oracle(tiny_dataset):
+def test_evaluate_perfect_oracle(tiny_dataset, monkeypatch):
     for sample in tiny_dataset.test:
-        oracle = lambda image, box, m=sample.mask: m.astype(float)
-        res = toyseg.evaluate(toyseg.ToyModel(), [sample], mode="shrink",
-                              frac=0.2, predict_fn=oracle)
+        monkeypatch.setattr(toyseg, "predict",
+                            lambda model, image, box, m=sample.mask: m.astype(float))
+        res = toyseg.evaluate(toyseg.ToyModel(), [sample], mode="shrink", frac=0.2)
         assert res.dsc_mean == 1.0
         assert res.nsd_mean == 1.0
 
