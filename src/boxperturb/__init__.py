@@ -9,9 +9,8 @@ data to compare perturbation strategies end to end.
 from .geometry import (BoundingBox, Coefficients, box_from_mask,
                        coefficients_for, scale_coefficient_xi,
                        similarity_coefficient_theta)
-from .loss import (LossReport, bce, combined_loss, dice_loss, final_loss,
-                   loss_gradient)
-from .metrics import MetricReport, boundary, distance_transform, dsc, nsd
+from .loss import LossReport, bce, combined_loss, dice_loss, loss_gradient
+from .metrics import boundary, distance_transform, dsc, nsd
 from .perturb import (OffsetQuad, PerturbationConfig, PerturbedBox,
                       compute_offsets, perturbation_stats,
                       sample_baseline_box, sample_perturbed_box)
@@ -22,9 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundingBox", "Coefficients", "box_from_mask", "coefficients_for",
     "scale_coefficient_xi", "similarity_coefficient_theta",
-    "LossReport", "bce", "combined_loss", "dice_loss", "final_loss",
-    "loss_gradient",
-    "MetricReport", "boundary", "distance_transform", "dsc", "nsd",
+    "LossReport", "bce", "combined_loss", "dice_loss", "loss_gradient",
+    "boundary", "distance_transform", "dsc", "nsd",
     "OffsetQuad", "PerturbationConfig", "PerturbedBox", "compute_offsets",
     "perturbation_stats", "sample_baseline_box", "sample_perturbed_box",
     "make_rng", "__version__",

@@ -204,17 +204,6 @@ def resample_bilinear(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return rows[at[:out_h]] * (1 - fy) + rows[at[out_h:]] * fy
 
 
-def resample_nearest(mask: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Nearest-neighbor resample; preserves mask binarity."""
-    if out_w < 1 or out_h < 1:
-        raise ValueError("output dimensions must be >= 1")
-    mask = np.asarray(mask)
-    in_h, in_w = mask.shape
-    xs = np.clip(((np.arange(out_w) + 0.5) * in_w / out_w).astype(int), 0, in_w - 1)
-    ys = np.clip(((np.arange(out_h) + 0.5) * in_h / out_h).astype(int), 0, in_h - 1)
-    return mask[np.ix_(ys, xs)]
-
-
 # --- PGM mask I/O (P2 read, P5 read/write, maxval <= 255) ---
 
 def _read_pgm_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]:

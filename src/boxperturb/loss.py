@@ -22,11 +22,6 @@ class LossReport:
     bce: float
     dice: float
     combined: float
-    wd_penalty: float = 0.0
-
-    @property
-    def final(self) -> float:
-        return self.combined + self.wd_penalty
 
 
 def clip_probabilities(s: np.ndarray) -> np.ndarray:
@@ -69,13 +64,15 @@ def combined_loss(s: np.ndarray, g: np.ndarray) -> LossReport:
 
 
 def combined_loss_into(s: np.ndarray, g: np.ndarray, tmp: np.ndarray,
-                       grad_out: np.ndarray | None = None) -> LossReport:
-    """combined_loss(s, g), and loss_gradient(s, g) into grad_out if given.
+                       grad_out: np.ndarray | None = None,
+                       var_out: np.ndarray | None = None) -> LossReport:
+    """combined_loss(s, g), plus loss_gradient(s, g) into grad_out and then
+    (1 - s) * s into var_out, each if given (var_out only with grad_out).
 
     For s already clipped and a boolean mask g the values are those of
     the reference functions bit for bit, but every full-size
-    intermediate lives in the caller's arrays tmp and grad_out (shaped
-    like s), so a training step allocates none.
+    intermediate lives in the caller's arrays (shaped like s), so a
+    training step allocates none.
     """
     g = np.asarray(g, dtype=bool)
     # BCE: per pixel log(s) where g is set and log(1 - s) elsewhere.
@@ -92,9 +89,10 @@ def combined_loss_into(s: np.ndarray, g: np.ndarray, tmp: np.ndarray,
     if grad_out is None:
         return report
     np.subtract(s, g, out=grad_out)
-    np.subtract(1.0, s, out=tmp)
-    tmp *= s
-    grad_out /= tmp
+    var = tmp if var_out is None else var_out
+    np.subtract(1.0, s, out=var)
+    var *= s
+    grad_out /= var
     grad_out /= s.size
     # Dice term -2 (g denom - 2 overlap s) / denom^2; the bracket is
     # denom - 2 overlap s where g is set and -2 overlap s elsewhere.
@@ -113,14 +111,6 @@ def weight_decay_penalty(weights: np.ndarray, lam: float) -> float:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     w = np.asarray(weights, dtype=np.float64)
     return 0.5 * lam * float((w * w).sum())
-
-
-def final_loss(s: np.ndarray, g: np.ndarray, weights: np.ndarray,
-               lam: float) -> LossReport:
-    """Combined loss plus the explicit weight-decay penalty."""
-    base = combined_loss(s, g)
-    return LossReport(bce=base.bce, dice=base.dice, combined=base.combined,
-                      wd_penalty=weight_decay_penalty(weights, lam))
 
 
 def loss_gradient(s: np.ndarray, g: np.ndarray) -> np.ndarray:

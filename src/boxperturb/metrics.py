@@ -8,18 +8,9 @@ distances between pixel centers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySource
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    dsc: float
-    nsd: float
-    tau: float
 
 
 def _check_same_shape(g: np.ndarray, s: np.ndarray):
@@ -133,8 +124,3 @@ def nsd(g: np.ndarray, s: np.ndarray, tau: float) -> float:
         return 0.0
     hits = int((bg & disk_dilate(bs, tau)).sum()) + int((bs & disk_dilate(bg, tau)).sum())
     return hits / (n_bg + n_bs)
-
-
-def metric_report(g: np.ndarray, s: np.ndarray, tau: float = 2.0) -> MetricReport:
-    """DSC and NSD of a prediction against ground truth."""
-    return MetricReport(dsc=dsc(g, s), nsd=nsd(g, s, tau), tau=tau)

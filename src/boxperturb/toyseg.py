@@ -28,18 +28,24 @@ MODEL_SCHEMA_VERSION = 1
 
 
 class _WorkArrays:
-    """Full-size (H, W) float64 arrays for one forward and backward pass.
+    """Full-size (H, W) arrays for one forward and backward pass.
 
     A step needs half a dozen such intermediates.  Allocated afresh each
     step, they go back to the C heap when it ends; the heap then returns
     the pages to the system and faults them in again on the next step,
     which costs more than the arithmetic.  A model keeps one set per
     image shape and reuses it.
+
+    `inside` and `signed` change only near the box but stay full-size,
+    so each gradient entry sums the same (H, W) product in the same order
+    as the full-image formula and the weights do not depend on the window.
+    `inner` is the (rows, cols) slice pair where `inside` is 1.
     """
 
     def __init__(self, shape: tuple[int, int]):
-        self.inside, self.signed, self.p, self.t, self.u = (
-            np.empty(shape) for _ in range(5))
+        self.inside, self.signed, self.p, self.t, self.u, self.v = (
+            np.empty(shape) for _ in range(6))
+        self.mask_a, self.mask_b = (np.empty(shape, dtype=bool) for _ in range(2))
 
 
 @dataclass
@@ -82,38 +88,58 @@ class TrainConfig:
             raise ValueError("scheduler_patience must be >= 1")
 
 
+def _axis(n: int, lo: float, hi: float, half: float):
+    """Pixel centers c on one axis, their in-box distance e (negative
+    outside), a = max(-e, 0), the run where e >= 0, and a window run that
+    holds every center with a <= half (padded by a pixel against rounding)."""
+    c = np.arange(n, dtype=np.float64) + 0.5
+    e = np.minimum(c - lo, hi - c)
+    start, cut = c.searchsorted((lo - half - 1.0, lo))
+    stop, end = c.searchsorted((hi, hi + half + 1.0), "right")
+    return c, e, np.maximum(-e, 0.0), slice(cut, stop), slice(start, end)
+
+
 def _feature_parts(image: np.ndarray, box: BoundingBox,
                    work: _WorkArrays) -> tuple[np.ndarray, ...]:
     """The six features, in FEATURE_NAMES order, as 2-D arrays that broadcast to (H, W).
 
     The bias is (1, 1), the center offsets are (1, W) and (H, 1); the
     intensity, inside-box indicator and signed edge distance are (H, W),
-    the last two written into work.
+    the last two written into work (see _WorkArrays).
+
+    `inside` is 1 on the rectangle where e >= 0 on both axes.  A pixel
+    more than `half` outside the box on one axis is more than `half` from
+    it, so `signed` there clips to exactly -1: any window that holds every
+    pixel with signed > -1 gives exact values, and only such a window is
+    computed.  In it hypot(ax, ay) is ax + ay wherever one of them is 0,
+    so hypot runs only on the corner blocks.
     """
     image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
     if not box.within_image(w, h):
         raise BoxOutOfBounds(f"box exceeds image extent {w}x{h}")
+    half = 0.5 * min(box.width, box.height)
+    px, ex, ax, cols, wcols = _axis(w, box.x_min, box.x_max, half)
+    py, ey, ay, rows, wrows = _axis(h, box.y_min, box.y_max, half)
 
-    px = (np.arange(w, dtype=np.float64) + 0.5)[None, :]
-    py = (np.arange(h, dtype=np.float64) + 0.5)[:, None]
+    work.inside.fill(0.0)
+    work.inner = rows, cols
+    work.inside[rows, cols] = 1.0
 
-    # In-box distances to the nearer edge along each axis, negative outside.
-    ex = np.minimum(px - box.x_min, box.x_max - px)
-    ey = np.minimum(py - box.y_min, box.y_max - py)
-    # Signed distance to the box boundary: interior edge distance when
-    # inside, minus the Euclidean distance to the box when outside.
-    outside = np.hypot(np.maximum(-ex, 0.0), np.maximum(-ey, 0.0), out=work.t)
-    np.equal(outside, 0.0, out=work.inside)
-    signed = np.minimum(ex, ey, out=work.signed)
+    outside = np.add(ax[None, wcols], ay[wrows, None], out=work.t[wrows, wcols])
+    for r in (slice(wrows.start, rows.start), slice(rows.stop, wrows.stop)):
+        for c in (slice(wcols.start, cols.start), slice(cols.stop, wcols.stop)):
+            np.hypot(ax[None, c], ay[r, None], out=work.t[r, c])
+    work.signed.fill(-1.0)
+    signed = np.minimum(ex[None, wcols], ey[wrows, None], out=work.signed[wrows, wcols])
     np.maximum(signed, 0.0, out=signed)
     signed -= outside
-    signed /= 0.5 * min(box.width, box.height)
+    signed /= half
     np.clip(signed, -1.0, 1.0, out=signed)
 
     bcx, bcy = box.center
-    return (np.ones((1, 1)), image, work.inside, signed,
-            np.abs(px - bcx) / box.width, np.abs(py - bcy) / box.height)
+    return (np.ones((1, 1)), image, work.inside, work.signed,
+            np.abs(px[None, :] - bcx) / box.width, np.abs(py[:, None] - bcy) / box.height)
 
 
 def featurize(image: np.ndarray, box: BoundingBox) -> np.ndarray:
@@ -130,19 +156,27 @@ def featurize(image: np.ndarray, box: BoundingBox) -> np.ndarray:
 
 
 def _forward(model: ToyModel, image: np.ndarray, box: BoundingBox):
-    """Work arrays holding the clipped sigmoid (p), and the features."""
+    """Work arrays holding the clipped sigmoid (p), and the features.
+
+    The logit has the bits of sum(weight * part): w0 * 1 is added after w1 * I
+    (addition commutes) and w2 only on work.inner (elsewhere w2 * 0 could flip
+    only a zero's sign, which the sigmoid ignores).
+    """
     work = model.work_arrays(np.shape(image))
-    parts = _feature_parts(image, box, work)
-    z = work.p
-    z.fill(0.0)
-    for weight, part in zip(model.weights, parts):
+    parts = _, intensity, _, signed, cx, cy = _feature_parts(image, box, work)
+    w0, w1, w2, w3, w4, w5 = model.weights
+    z = np.multiply(intensity, w1, out=work.p)
+    z += w0
+    z[work.inner] += w2
+    for weight, part in ((w3, signed), (w4, cx), (w5, cy)):
         z += np.multiply(part, weight, out=work.t[:part.shape[0], :part.shape[1]])
     # Logistic without overflow: 1/(1+e) for z >= 0 and e/(1+e) below, e = exp(-|z|).
-    neg = z < 0
+    neg = np.less(z, 0.0, out=work.mask_a)
+    nonneg = np.logical_not(neg, out=work.mask_b)
     np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
     np.add(z, 1.0, out=work.t)
     np.divide(z, work.t, out=z, where=neg)
-    np.divide(1.0, work.t, out=z, where=~neg)
+    np.divide(1.0, work.t, out=z, where=nonneg)
     np.clip(z, loss_mod.CLIP_EPS, 1.0 - loss_mod.CLIP_EPS, out=z)
     return work, parts
 
@@ -156,22 +190,27 @@ def predict(model: ToyModel, image: np.ndarray, box: BoundingBox) -> np.ndarray:
 def weight_gradient(model: ToyModel, image: np.ndarray, mask: np.ndarray,
                     box: BoundingBox) -> tuple[np.ndarray, loss_mod.LossReport]:
     """Gradient of the combined loss w.r.t. the weights, plus the loss report."""
-    work, parts = _forward(model, image, box)
-    report = loss_mod.combined_loss_into(work.p, mask, work.t, grad_out=work.u)
-    # Chain rule through the logistic; clipped pixels (p at a clip bound)
-    # contribute nothing, and elsewhere p is the unclipped sigmoid.
-    p = work.p
-    dp_dz = np.subtract(1.0, p, out=work.t)
-    dp_dz *= p
-    dp_dz[(p <= loss_mod.CLIP_EPS) | (p >= 1.0 - loss_mod.CLIP_EPS)] = 0.0
-    resid = np.multiply(work.u, dp_dz, out=work.u)
-    grad_w = np.empty(N_FEATURES)
-    for k, part in enumerate(parts):
-        # sum(resid * part); a part that is constant along an axis takes
-        # the residual's sums along that axis instead.
-        axes = tuple(i for i in (0, 1) if part.shape[i] == 1)
-        r = resid.sum(axis=axes, keepdims=True) if axes else resid
-        grad_w[k] = np.multiply(r, part, out=work.t[:part.shape[0], :part.shape[1]]).sum()
+    work, (_, intensity, inside, signed, cx, cy) = _forward(model, image, box)
+    report = loss_mod.combined_loss_into(work.p, mask, work.t, grad_out=work.u,
+                                         var_out=work.v)
+    # Chain rule through the logistic: dp/dz = p (1 - p), which the loss
+    # left in work.v.  Clipped pixels (p at a clip bound) contribute
+    # nothing, and elsewhere p is the unclipped sigmoid.
+    p, t = work.p, work.t
+    clipped = np.less_equal(p, loss_mod.CLIP_EPS, out=work.mask_a)
+    clipped |= np.greater_equal(p, 1.0 - loss_mod.CLIP_EPS, out=work.mask_b)
+    np.putmask(work.v, clipped, 0.0)
+    resid = np.multiply(work.u, work.v, out=work.u)
+    # sum(resid * part); a part that is constant along an axis takes the
+    # residual's sums along that axis instead.
+    grad_w = np.array([
+        resid.sum(axis=(0, 1)),
+        np.multiply(resid, intensity, out=t).sum(),
+        np.multiply(resid, inside, out=t).sum(),
+        np.multiply(resid, signed, out=t).sum(),
+        np.multiply(resid.sum(axis=0, keepdims=True), cx, out=t[:1]).sum(),
+        np.multiply(resid.sum(axis=1, keepdims=True), cy, out=t[:, :1]).sum(),
+    ])
     return grad_w, report
 
 
@@ -231,9 +270,7 @@ def train(split, cfg: TrainConfig) -> tuple[ToyModel, list[EpochRecord]]:
     val_prompted = [(sample, box_from_mask(sample.mask)) for sample in split.val]
     model = ToyModel()
     history: list[EpochRecord] = []
-    lr = cfg.lr
-    best_val = np.inf
-    stale = 0
+    lr, best_val, stale = cfg.lr, np.inf, 0
     for epoch in range(1, cfg.epochs + 1):
         train_losses = []
         for idx, (sample, (gt_box, offsets)) in enumerate(zip(split.train, train_prompts)):
@@ -247,8 +284,7 @@ def train(split, cfg: TrainConfig) -> tuple[ToyModel, list[EpochRecord]]:
         history.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(train_losses)),
                                    val_loss=val_loss, lr=lr))
         if val_loss < best_val:
-            best_val = val_loss
-            stale = 0
+            best_val, stale = val_loss, 0
         else:
             stale += 1
             if stale >= cfg.scheduler_patience:
@@ -276,8 +312,7 @@ def prompt_box_for_mode(gt_box: BoundingBox, mode: str, frac: float,
     if mode == "standard" or frac == 0.0:
         return gt_box
     sign = 1.0 if mode == "expand" else -1.0
-    dx = sign * frac * gt_box.width
-    dy = sign * frac * gt_box.height
+    dx, dy = sign * frac * gt_box.width, sign * frac * gt_box.height
     return BoundingBox(max(gt_box.x_min - dx, 0.0), max(gt_box.y_min - dy, 0.0),
                        min(gt_box.x_max + dx, float(image_w)),
                        min(gt_box.y_max + dy, float(image_h)))
@@ -288,15 +323,16 @@ def evaluate(model: ToyModel, samples, mode: str = "standard", frac: float = 0.0
     """Macro-averaged DSC/NSD over samples under one prompt regime.
 
     Predictions are thresholded at p > 0.5 (strict; ties go to
-    background).
+    background).  Raises EmptyDataset when there are no samples.
     """
     from .metrics import dsc as dsc_fn, nsd as nsd_fn
 
+    if not samples:
+        raise EmptyDataset("no samples to evaluate")
     dscs, nsds = [], []
     for sample in samples:
         h, w = sample.image.shape
-        gt_box = box_from_mask(sample.mask)
-        box = prompt_box_for_mode(gt_box, mode, frac, w, h)
+        box = prompt_box_for_mode(box_from_mask(sample.mask), mode, frac, w, h)
         pred = predict(model, sample.image, box) > 0.5
         dscs.append(dsc_fn(sample.mask, pred))
         nsds.append(nsd_fn(sample.mask, pred, tau))

@@ -8,6 +8,8 @@ transform.
 
 import numpy as np
 
+from boxperturb.loss import CLIP_EPS, combined_loss, loss_gradient
+
 
 def brute_distance_grid(source: np.ndarray) -> np.ndarray:
     """Min-over-pairs Euclidean distance from every pixel to the source set."""
@@ -72,3 +74,60 @@ def brute_min_gap(a: np.ndarray, b: np.ndarray) -> float:
     pb = np.argwhere(b)
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
     return float(np.sqrt(d2.min()))
+
+
+def reference_features(image: np.ndarray, box) -> tuple:
+    """The six features computed over the whole image, in FEATURE_NAMES order.
+
+    Shapes as in `toyseg._feature_parts`: bias (1, 1), intensity,
+    inside-box indicator and signed edge distance (H, W), center offsets
+    (1, W) and (H, 1).
+    """
+    image = np.asarray(image, dtype=np.float64)
+    h, w = image.shape
+    px = (np.arange(w, dtype=np.float64) + 0.5)[None, :]
+    py = (np.arange(h, dtype=np.float64) + 0.5)[:, None]
+    ex = np.minimum(px - box.x_min, box.x_max - px)
+    ey = np.minimum(py - box.y_min, box.y_max - py)
+    outside = np.hypot(np.maximum(-ex, 0.0), np.maximum(-ey, 0.0))
+    inside = (outside == 0.0).astype(np.float64)
+    signed = np.maximum(np.minimum(ex, ey), 0.0) - outside
+    signed /= 0.5 * min(box.width, box.height)
+    np.clip(signed, -1.0, 1.0, out=signed)
+    bcx, bcy = box.center
+    return (np.ones((1, 1)), image, inside, signed,
+            np.abs(px - bcx) / box.width, np.abs(py - bcy) / box.height)
+
+
+def reference_forward(weights: np.ndarray, image: np.ndarray, box):
+    """Clipped sigmoid of sum(weight * part) over the full-image parts, and the parts."""
+    parts = reference_features(image, box)
+    z = np.zeros(np.shape(image))
+    for weight, part in zip(weights, parts):
+        z += part * weight
+    neg = z < 0
+    e = np.exp(-np.abs(z))
+    p = np.where(neg, e / (1.0 + e), 1.0 / (1.0 + e))
+    return np.clip(p, CLIP_EPS, 1.0 - CLIP_EPS), parts
+
+
+def reference_weight_gradient(weights: np.ndarray, image: np.ndarray, mask: np.ndarray,
+                              box) -> tuple:
+    """Weight gradient and loss report from full-image arithmetic, fresh arrays each call.
+
+    The loss and its pixel gradient are the plain `combined_loss` and
+    `loss_gradient`; the chain rule zeroes dp/dz where p sits at a clip
+    bound, and each entry is sum(resid * part), with a part constant
+    along an axis taking the residual's sums along it.
+    """
+    p, parts = reference_forward(weights, image, box)
+    report = combined_loss(p, mask)
+    dp_dz = (1.0 - p) * p
+    dp_dz[(p <= CLIP_EPS) | (p >= 1.0 - CLIP_EPS)] = 0.0
+    resid = loss_gradient(p, mask.astype(np.float64)) * dp_dz
+    grad_w = np.empty(len(parts))
+    for k, part in enumerate(parts):
+        axes = tuple(i for i in (0, 1) if part.shape[i] == 1)
+        r = resid.sum(axis=axes, keepdims=True) if axes else resid
+        grad_w[k] = (r * part).sum()
+    return grad_w, report

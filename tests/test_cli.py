@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,29 @@ def test_ablate_missing_suite_exit(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"boxperturb: EmptyDataset: no manifest.json in {root / missing}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["standard", "tiny"])
+def test_ablate_empty_test_split_exit(tmp_path, capsys, suite):
+    root = tmp_path / "ds"
+    assert run("gen", "--suite", "standard", "--n", "10", "--grid", "48",
+               "--seed", "4", "--out-dir", str(root / "standard")) == 0
+    assert run("gen", "--suite", "tiny", "--n", "10", "--grid", "64",
+               "--seed", "5", "--out-dir", str(root / "tiny")) == 0
+    manifest_path = root / suite / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["splits"]["test"] = []
+    manifest_path.write_text(json.dumps(manifest))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 1\n")
+    out = tmp_path / "ablation.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("ablate", "--data-dir", str(root), "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == "boxperturb: EmptyDataset: no samples to evaluate\n"
+    assert not out.exists()
 
 
 def test_preprocess_window_endpoints(tmp_path):

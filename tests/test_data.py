@@ -197,13 +197,6 @@ def test_resample_matches_four_gather_formula_random_shapes():
         assert out.tobytes() == four_gather_bilinear(image, out_w, out_h).tobytes()
 
 
-def test_resample_nearest_binary():
-    mask = make_rng(602).random((10, 10)) < 0.5
-    out = data_mod.resample_nearest(mask, 23, 17)
-    assert out.dtype == bool
-    assert data_mod.resample_nearest(mask, 10, 10).tolist() == mask.tolist()
-
-
 def test_pgm_round_trip(tmp_path):
     for i in range(30):
         mask = make_rng(603, i).random((9, 13)) < 0.4

@@ -5,8 +5,8 @@ import pytest
 
 from boxperturb.errors import DimensionMismatch, DomainError
 from boxperturb.loss import (CLIP_EPS, bce, clip_probabilities, combined_loss,
-                             combined_loss_into, dice_loss, final_loss,
-                             loss_gradient, weight_decay_penalty)
+                             combined_loss_into, dice_loss, loss_gradient,
+                             weight_decay_penalty)
 from boxperturb.rng import make_rng
 
 from oracles import finite_difference
@@ -83,15 +83,6 @@ def test_combined_hand_value():
     assert report.combined == pytest.approx(math.log(2) + 0.2, abs=1e-9)
 
 
-def test_final_loss_lambda_zero():
-    rng = make_rng(403)
-    s = rng.random((4, 4))
-    g = (rng.random((4, 4)) < 0.5).astype(float)
-    report = final_loss(s, g, weights=np.array([1.0, -2.0]), lam=0.0)
-    assert report.final == report.combined
-    assert report.wd_penalty == 0.0
-
-
 def test_weight_decay_hand_value():
     assert weight_decay_penalty(np.array([3.0, 4.0]), 0.1) == pytest.approx(
         1.25, abs=1e-15)
@@ -157,7 +148,11 @@ def test_combined_loss_into_matches_reference_exactly(shape):
         # Include saturated pixels, which clip to CLIP_EPS and 1 - CLIP_EPS.
         s = clip_probabilities(1.0 / (1.0 + np.exp(-rng.normal(0.0, 20.0, size=shape))))
         g = rng.random(shape) < rng.uniform(0.0, 1.0)
-        tmp, grad = np.empty(shape), np.empty(shape)
+        tmp, grad, var = np.empty(shape), np.empty(shape), np.empty(shape)
         assert combined_loss_into(s, g, tmp) == combined_loss(s, g)
         assert combined_loss_into(s, g, tmp, grad_out=grad) == combined_loss(s, g)
         assert (grad == loss_gradient(s, g.astype(np.float64))).all()
+        grad.fill(np.nan)
+        assert combined_loss_into(s, g, tmp, grad_out=grad, var_out=var) == combined_loss(s, g)
+        assert grad.tobytes() == loss_gradient(s, g.astype(np.float64)).tobytes()
+        assert var.tobytes() == ((1.0 - s) * s).tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boxperturb.errors import DimensionMismatch, EmptySource
-from boxperturb.metrics import boundary, distance_transform, dsc, metric_report, nsd
+from boxperturb.metrics import boundary, distance_transform, dsc, nsd
 from boxperturb.rng import make_rng
 
 from oracles import brute_boundary, brute_distance_grid, brute_nsd
@@ -287,11 +287,3 @@ def test_nsd_saturates_at_grid_diagonal():
     s[31, 31] = True
     diagonal = np.sqrt(2.0) * 32
     assert nsd(g, s, diagonal) == 1.0
-
-
-def test_metric_report_fields():
-    m = random_mask((311, 0), p=0.2)
-    report = metric_report(m, m, tau=1.5)
-    assert report.dsc == 1.0
-    assert report.nsd == 1.0
-    assert report.tau == 1.5

@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from boxperturb.loss import bce, dice_loss
 from boxperturb.perturb import PerturbationConfig, compute_offsets
 from boxperturb.rng import make_rng
 
-from oracles import finite_difference
+from oracles import finite_difference, reference_forward, reference_weight_gradient
 
 
 # eps_shrink = delta_expand = 0: the prompt is the ground-truth box.
@@ -220,6 +221,69 @@ def test_weight_gradient_matches_feature_tensor():
                          raw * (1.0 - raw), 0.0)
         expected = np.einsum("hw,hwk->k", grad_p * dp_dz, feats)
         assert np.allclose(analytic, expected, rtol=1e-12, atol=0.0)
+
+
+def _exactness_boxes(rng, h, w):
+    """Boxes flush with each image edge, covering no pixel center (on one
+    axis or both), the whole image, and random pixel-edge and fractional
+    boxes, in a random order."""
+    cx, cy = w // 2, h // 2
+    boxes = [(0, 0.3 * h, 0.5 * w, 0.7 * h), (0.3 * w, 0, 0.7 * w, 0.5 * h),
+             (0.5 * w, 0.3 * h, w, 0.7 * h), (0.3 * w, 0.5 * h, 0.7 * w, h),
+             (cx + 0.55, cy + 0.55, cx + 0.95, cy + 0.95),
+             (cx + 0.55, 0, cx + 0.95, h), (0, cy + 0.6, w, cy + 0.7),
+             (0, 0, w, h), (0.1 * w, 0.1 * h, 0.9 * w, 0.9 * h)]
+    for _ in range(40):
+        x0, x1 = sorted(rng.choice(w + 1, 2, replace=False))
+        y0, y1 = sorted(rng.choice(h + 1, 2, replace=False))
+        boxes.append((x0, y0, x1, y1))
+        x0, x1 = sorted(rng.uniform(0, w, 2))
+        y0, y1 = sorted(rng.uniform(0, h, 2))
+        boxes.append((x0, y0, x1, y1))
+    return [BoundingBox(*map(float, boxes[i])) for i in rng.permutation(len(boxes))]
+
+
+def test_step_matches_full_image_reference_exactly():
+    # One model for every call, so that values left in its work arrays
+    # outside a previous box's window would show in the next result.
+    model = toyseg.ToyModel()
+    for shape in ((24, 31), (1, 17), (17, 1), (1, 1), (2, 40), (40, 3), (64, 64)):
+        rng = make_rng(511, *shape)
+        image = rng.random(shape)
+        for box in _exactness_boxes(rng, *shape):
+            mask = rng.random(shape) < rng.uniform(0.0, 0.6)
+            model.weights = rng.normal(0, 2, size=toyseg.N_FEATURES)
+            grad, report = toyseg.weight_gradient(model, image, mask, box)
+            ref_grad, ref_report = reference_weight_gradient(model.weights, image, mask, box)
+            assert grad.tobytes() == ref_grad.tobytes(), (shape, box)
+            assert (np.array(astuple(report)).tobytes()
+                    == np.array(astuple(ref_report)).tobytes()), (shape, box)
+            ref_p, _ = reference_forward(model.weights, image, box)
+            assert toyseg.predict(model, image, box).tobytes() == ref_p.tobytes()
+
+
+def test_train_matches_full_image_reference_exactly(tiny_dataset, monkeypatch):
+    cfg = toyseg.TrainConfig(epochs=4, lr=0.3, scheduler_patience=1, seed=5)
+    model, history = toyseg.train(tiny_dataset, cfg)
+    assert history[-1].lr < cfg.lr  # the fit covers a rate drop
+
+    def ref_gradient(model, image, mask, box):
+        return reference_weight_gradient(model.weights, image, mask, box)
+
+    def ref_val_loss(model, prompted):
+        losses = []
+        for sample, box in prompted:
+            p, _ = reference_forward(model.weights, sample.image, box)
+            losses.append(loss_mod.combined_loss(p, sample.mask).combined)
+        return float(np.mean(losses))
+
+    monkeypatch.setattr(toyseg, "weight_gradient", ref_gradient)
+    monkeypatch.setattr(toyseg, "_mean_val_loss", ref_val_loss)
+    ref_model, ref_history = toyseg.train(tiny_dataset, cfg)
+    assert model.weights.tobytes() == ref_model.weights.tobytes()
+    assert model.m.tobytes() == ref_model.m.tobytes()
+    assert model.v.tobytes() == ref_model.v.tobytes()
+    assert history == ref_history
 
 
 def test_train_step_allocates_no_full_size_arrays():
