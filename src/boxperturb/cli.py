@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import toyseg
-from .errors import BoxPerturbError
+from .errors import BoxPerturbError, EmptyDataset
 from .geometry import box_from_mask, coefficients_for
 from .metrics import dsc, nsd
 from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
@@ -131,6 +131,8 @@ def _write_csv(path, config: RunConfig, header, rows, notes=(), end_notes=()):
 def cmd_perturb(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = read_run_config(args.config)
     if args.seed is not None:
         config = replace(config, train=replace(config.train, seed=args.seed))
@@ -241,10 +243,14 @@ def run_ablation(standard_split, tiny_split, config: RunConfig,
 def cmd_ablate(args) -> int:
     config = read_run_config(args.config)
     root = Path(args.data_dir)
-    standard_split = data_mod.load_dataset(root / "standard")
-    tiny_split = data_mod.load_dataset(root / "tiny")
-    rows = run_ablation(standard_split, tiny_split, config,
-                        args.error_dsc_threshold)
+    splits = []
+    for suite in ("standard", "tiny"):
+        split = data_mod.load_dataset(root / suite)
+        for name in ("train", "val", "test"):
+            if not getattr(split, name):  # fail before any fit, naming the suite
+                raise EmptyDataset(f"{root / suite}: empty {name} split")
+        splits.append(split)
+    rows = run_ablation(*splits, config, args.error_dsc_threshold)
     _write_csv(args.out, config, rows[0].keys(), [row.values() for row in rows], notes=[
         f"error_rate criterion: per-image DSC < {args.error_dsc_threshold} "
         f"on the tiny suite (stand-in definition)",

@@ -100,11 +100,7 @@ def _gen_standard_sample(grid: int, rng: np.random.Generator) -> SyntheticSample
 
 def _near_test(target: np.ndarray):
     """Predicate: does another mask come within 10 px of target?"""
-    # Pixels that close lie in target's box grown by 10 px; only that window is dilated.
-    box = box_from_mask(target)
-    win = np.s_[max(int(box.y_min) - 10, 0):int(box.y_max) + 10,
-                max(int(box.x_min) - 10, 0):int(box.x_max) + 10]
-    return lambda other: bool((target[win] & disk_dilate(other[win], 10.0)).any())
+    return lambda other: bool((target & disk_dilate(other, 10.0)).any())
 
 
 def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:

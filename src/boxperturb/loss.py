@@ -1,4 +1,7 @@
-"""Training objective: BCE + Dice with an optional weight-decay penalty.
+"""Training objective: BCE + Dice, and a standalone weight-decay penalty.
+
+Training decays weights in its AdamW step (decoupled from the loss);
+weight_decay_penalty is the matching lam/2 * ||w||^2 term on its own.
 
 Probability maps are 2D float arrays clipped into
 [CLIP_EPS, 1 - CLIP_EPS] so the log terms stay finite.  The analytic

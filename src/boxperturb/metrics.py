@@ -2,7 +2,8 @@
 
 Masks are 2D boolean arrays.  Boundary extraction uses 4-connectivity
 with the image border counting as outside; all distances are Euclidean
-distances between pixel centers.
+distances between pixel centers.  One exact squared-distance pass serves
+both the distance transform and NSD's tau dilation, which caps it at tau.
 """
 
 from __future__ import annotations
@@ -39,20 +40,17 @@ def boundary(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def distance_transform(source: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance from every pixel center to the nearest source pixel.
+def _squared_distances(source: np.ndarray, reach: float) -> np.ndarray:
+    """Squared distance from every pixel center to the nearest source pixel
+    at most reach rows away, or at least (h + w)**2 where there is none.
 
-    Two-pass algorithm over squared distances: a per-row scan to the
-    nearest in-row source column, then a per-column minimization over
-    row offsets dr = 1, 2, ..., which stops once dr*dr reaches the
-    largest squared distance found so far (no farther row can lower
-    any).  All intermediate squared distances are exact integers in
-    float64, so the result matches brute force bit for bit.  Memory is
-    a few (h, w) arrays.
+    Two passes: a per-row scan to the nearest in-row source column, then
+    a per-column minimization over row offsets dr = 1, 2, ... up to
+    reach, which stops early once dr*dr reaches the largest squared
+    distance found so far (no farther row can lower any).  Every value
+    is an exact integer in float64, so the transform matches brute force
+    bit for bit.  Memory is a few (h, w) arrays.
     """
-    source = np.asarray(source, dtype=bool)
-    if not source.any():
-        raise EmptySource("distance transform needs at least one source pixel")
     h, w = source.shape
     cols = np.arange(w, dtype=np.float64)
     # Squared distance to the nearest source column at or left of each
@@ -67,38 +65,41 @@ def distance_transform(source: np.ndarray) -> np.ndarray:
     sq = row_sq.copy()
     for dr in range(1, h):
         d2 = float(dr * dr)
-        if d2 >= sq.max():  # no farther row can lower any distance
+        if dr > reach or d2 >= sq.max():
             break
         np.minimum(sq[dr:], np.add(row_sq[:-dr], d2, out=buf[dr:]), out=sq[dr:])
         np.minimum(sq[:-dr], np.add(row_sq[dr:], d2, out=buf[:-dr]), out=sq[:-dr])
+    return sq
+
+
+def distance_transform(source: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from every pixel center to the nearest source pixel."""
+    source = np.asarray(source, dtype=bool)
+    if not source.any():
+        raise EmptySource("distance transform needs at least one source pixel")
+    sq = _squared_distances(source, math.inf)
     return np.sqrt(sq, out=sq)
 
 
 def disk_dilate(source: np.ndarray, tau: float) -> np.ndarray:
     """True where some source pixel lies within Euclidean distance tau.
 
-    An OR of the source over the integer offsets (dr, dc) with
-    sqrt(dr*dr + dc*dc) <= tau, the same float test as thresholding
-    distance_transform.  For each row offset the admissible column
-    offsets form a run |dc| <= k, so the source is dilated along rows
-    by k with a prefix-sum window and then shifted by +-dr.  Memory is
-    O(h*w) and time O(min(tau, h) * h * w).
+    The float test of thresholding distance_transform, sqrt(d2) <= tau,
+    on the source's bounding box grown by floor(tau) (a pixel outside it
+    is farther than tau along one axis), with the column pass capped at
+    floor(tau) rows (as far as a source within tau can be).  Time
+    O(min(tau, h)*h*w) and memory O(h*w) for the window's h and w.
     """
-    h, w = source.shape
-    csum = np.zeros((h, w + 1), dtype=np.int32)
-    np.cumsum(source, axis=1, dtype=np.int32, out=csum[:, 1:])
-    cols = np.arange(w)
-    dc2 = (cols * cols).astype(np.float64)
-    out = np.zeros((h, w), dtype=bool)
-    reach = h - 1 if tau >= h - 1 else math.floor(tau)
-    k_prev = -1
-    for dr in range(reach + 1):
-        k = int(np.count_nonzero(np.sqrt(dr * dr + dc2) <= tau)) - 1
-        if k != k_prev:  # k shrinks as |dr| grows; reuse the row dilation while it holds
-            band = csum[:, np.minimum(cols + k + 1, w)] > csum[:, np.maximum(cols - k, 0)]
-            k_prev = k
-        out[:h - dr] |= band[dr:]
-        out[dr:] |= band[:h - dr]
+    source = np.asarray(source, dtype=bool)
+    out = np.zeros(source.shape, dtype=bool)
+    rows, cols = (np.flatnonzero(source.any(axis=axis)) for axis in (1, 0))
+    if rows.size == 0:
+        return out
+    grow = int(min(tau, sum(source.shape)))
+    win = np.s_[max(rows[0] - grow, 0):rows[-1] + grow + 1,
+                max(cols[0] - grow, 0):cols[-1] + grow + 1]
+    sq = _squared_distances(source[win], tau)
+    out[win] = np.sqrt(sq, out=sq) <= tau
     return out
 
 

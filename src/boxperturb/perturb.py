@@ -64,10 +64,9 @@ class OffsetQuad:
 
 @dataclass(frozen=True)
 class PerturbedBox:
-    """A sampled box plus the draws and offsets that produced it."""
+    """A sampled box plus the draws that produced it."""
 
     box: BoundingBox
-    offsets: OffsetQuad
     draws: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     resample_count: int = 0
 
@@ -120,7 +119,7 @@ def sample_perturbed_box(box: BoundingBox, offsets: OffsetQuad,
         if (x_max_c - x_min_c >= config.min_box_size
                 and y_max_c - y_min_c >= config.min_box_size):
             return PerturbedBox(box=BoundingBox(x_min_c, y_min_c, x_max_c, y_max_c),
-                                offsets=offsets, draws=draws, resample_count=attempt)
+                                draws=draws, resample_count=attempt)
 
     # All draws degenerate: fall back to a centered box around the original center.
     cx, cy = box.center
@@ -129,8 +128,7 @@ def sample_perturbed_box(box: BoundingBox, offsets: OffsetQuad,
     x_min = min(max(cx - 0.5 * w, 0.0), image_w - w)
     y_min = min(max(cy - 0.5 * h, 0.0), image_h - h)
     repaired = BoundingBox(x_min, y_min, x_min + w, y_min + h)
-    return PerturbedBox(box=repaired, offsets=offsets, draws=draws,
-                        resample_count=config.max_resample + 1)
+    return PerturbedBox(box=repaired, draws=draws, resample_count=config.max_resample + 1)
 
 
 def sample_baseline_box(box: BoundingBox, max_shift: float,

@@ -17,6 +17,7 @@ import numpy as np
 from . import loss as loss_mod
 from .errors import BoxOutOfBounds, EmptyDataset, NonFiniteGradient
 from .geometry import BoundingBox, box_from_mask, coefficients_for
+from .metrics import dsc, nsd
 from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
 from .rng import make_rng
 
@@ -86,6 +87,14 @@ class TrainConfig:
             raise ValueError("scheduler_factor must be in (0, 1)")
         if self.scheduler_patience < 1:
             raise ValueError("scheduler_patience must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0")
+        if self.min_lr < 0:
+            raise ValueError("min_lr must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _axis(n: int, lo: float, hi: float, half: float):
@@ -325,8 +334,6 @@ def evaluate(model: ToyModel, samples, mode: str = "standard", frac: float = 0.0
     Predictions are thresholded at p > 0.5 (strict; ties go to
     background).  Raises EmptyDataset when there are no samples.
     """
-    from .metrics import dsc as dsc_fn, nsd as nsd_fn
-
     if not samples:
         raise EmptyDataset("no samples to evaluate")
     dscs, nsds = [], []
@@ -334,8 +341,8 @@ def evaluate(model: ToyModel, samples, mode: str = "standard", frac: float = 0.0
         h, w = sample.image.shape
         box = prompt_box_for_mode(box_from_mask(sample.mask), mode, frac, w, h)
         pred = predict(model, sample.image, box) > 0.5
-        dscs.append(dsc_fn(sample.mask, pred))
-        nsds.append(nsd_fn(sample.mask, pred, tau))
+        dscs.append(dsc(sample.mask, pred))
+        nsds.append(nsd(sample.mask, pred, tau))
     return EvalResult(dsc_mean=float(np.mean(dscs)), nsd_mean=float(np.mean(nsds)),
                       tau=tau, per_image_dsc=tuple(dscs), per_image_nsd=tuple(nsds))
 

@@ -50,6 +50,11 @@ def test_read_run_config_defaults_and_overrides(tmp_path):
     pytest.param("# bools\nscale_by_target = yes\n", 2, id="non-bool"),
     pytest.param("prompt_frac = 0.5\n", 1, id="prompt-frac-range"),
     pytest.param("delta_expand = nan\n", 1, id="non-finite"),
+    pytest.param("lam = -1\n", 1, id="negative-lam"),
+    pytest.param("lr = -0.5\n", 1, id="negative-lr"),
+    pytest.param("epochs = 2\nlr = 0\n", 2, id="zero-lr"),
+    pytest.param("min_lr = -1\n", 1, id="negative-min-lr"),
+    pytest.param("seed = -1\n", 1, id="negative-seed"),
 ])
 def test_read_run_config_rejects_unknown_key(tmp_path, capsys, text, lineno):
     cfg = tmp_path / "bad.cfg"
@@ -139,6 +144,15 @@ def test_perturb_rejects_n_below_one(tmp_path, mask_file, n):
     out = tmp_path / "out.csv"
     assert run("perturb", "--mask", str(mask_file), "--n", n, "--stats",
                "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_perturb_rejects_negative_seed(tmp_path, capsys):
+    # Checked before the (missing) mask is read.
+    out = tmp_path / "out.csv"
+    assert run("perturb", "--mask", str(tmp_path / "missing.pgm"), "--seed", "-2",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == "boxperturb: --seed must be >= 0, got -2\n"
     assert not out.exists()
 
 
@@ -366,7 +380,7 @@ def test_ablate_missing_suite_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suite", ["standard", "tiny"])
-def test_ablate_empty_test_split_exit(tmp_path, capsys, suite):
+def test_ablate_empty_test_split_exit(tmp_path, capsys, monkeypatch, suite):
     root = tmp_path / "ds"
     assert run("gen", "--suite", "standard", "--n", "10", "--grid", "48",
                "--seed", "4", "--out-dir", str(root / "standard")) == 0
@@ -379,12 +393,14 @@ def test_ablate_empty_test_split_exit(tmp_path, capsys, suite):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs = 1\n")
     out = tmp_path / "ablation.csv"
+    # The split is checked as the suite is loaded, before any fit.
+    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run("ablate", "--data-dir", str(root), "--config", str(cfg), "--out", str(out))
     assert code == 2
-    assert capsys.readouterr().err == "boxperturb: EmptyDataset: no samples to evaluate\n"
+    assert capsys.readouterr().err == f"boxperturb: EmptyDataset: {root / suite}: empty test split\n"
     assert not out.exists()
 
 

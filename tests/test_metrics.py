@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boxperturb.errors import DimensionMismatch, EmptySource
-from boxperturb.metrics import boundary, distance_transform, dsc, nsd
+from boxperturb.metrics import boundary, disk_dilate, distance_transform, dsc, nsd
 from boxperturb.rng import make_rng
 
 from oracles import brute_boundary, brute_distance_grid, brute_nsd
@@ -221,6 +221,35 @@ EDGE_TAUS = (0.0, 0.5, 1.0,
              np.nextafter(SQRT5, 0.0), SQRT5, np.nextafter(SQRT5, 4.0),
              np.nextafter(SQRT13, 0.0), SQRT13, np.nextafter(SQRT13, 4.0),
              7.3, 50.0, 1e9, math.inf)
+
+
+# (rows, columns) sub-boxes of a 23x31 grid: touching each border, one
+# pixel in each corner, and the interior.
+CONFINED = [(np.s_[0:3], np.s_[10:16]), (np.s_[20:23], np.s_[12:17]),
+            (np.s_[8:14], np.s_[0:2]), (np.s_[5:10], np.s_[28:31]),
+            (np.s_[0:1], np.s_[0:1]), (np.s_[0:1], np.s_[30:31]),
+            (np.s_[22:23], np.s_[0:1]), (np.s_[22:23], np.s_[30:31]),
+            (np.s_[9:13], np.s_[12:18])]
+
+
+@pytest.mark.parametrize("rows, cols", CONFINED, ids=range(len(CONFINED)))
+def test_disk_dilate_confined_source_matches_transform(rows, cols):
+    # The window around such a source is smaller than the grid, so a
+    # window one pixel short or unclipped at an edge shows here.
+    for i in range(4):
+        src = np.zeros((23, 31), dtype=bool)
+        src[rows, cols] = make_rng(314, i).random(src[rows, cols].shape) < 0.5
+        src[rows.start, cols.start] = True
+        d = distance_transform(src)
+        for tau in EDGE_TAUS:
+            assert (disk_dilate(src, tau) == (d <= tau)).all()
+
+
+def test_disk_dilate_empty_source():
+    for shape in ((1, 1), (5, 7)):
+        for tau in EDGE_TAUS:
+            out = disk_dilate(np.zeros(shape, dtype=bool), tau)
+            assert out.shape == shape and not out.any()
 
 
 def transform_nsd(g, s, tau):
