@@ -225,9 +225,8 @@ def run_ablation(standard_split, tiny_split, config: RunConfig,
             eps_shrink=perturb.eps_shrink if bidirectional else 0.0))
         row = {"config": row_name}
         model_std, _ = toyseg.train(standard_split, cfg)
-        for mode, f in (("standard", 0.0), ("expand", frac), ("shrink", frac)):
-            res = toyseg.evaluate(model_std, standard_split.test,
-                                  mode=mode, frac=f, tau=tau)
+        for mode, grow in (("standard", 0.0), ("expand", frac), ("shrink", -frac)):
+            res = toyseg.evaluate(model_std, standard_split.test, grow=grow, tau=tau)
             row[f"dsc_{mode}"] = res.dsc_mean
             row[f"nsd_{mode}"] = res.nsd_mean
         model_tiny, _ = toyseg.train(tiny_split, cfg)
@@ -241,6 +240,9 @@ def run_ablation(standard_split, tiny_split, config: RunConfig,
 
 
 def cmd_ablate(args) -> int:
+    if not 0.0 < args.error_dsc_threshold <= 1.0:  # also rejects NaN
+        raise ValueError(
+            f"--error-dsc-threshold must be in (0, 1], got {args.error_dsc_threshold}")
     config = read_run_config(args.config)
     root = Path(args.data_dir)
     splits = []

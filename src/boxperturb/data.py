@@ -10,16 +10,17 @@ within a few pixels, exercising the small-target failure mode.
 from __future__ import annotations
 
 import json
+import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadMagic, EmptyDataset, InvalidWindow, MalformedHeader,
-                     MalformedManifest, SizeMismatch, TruncatedPayload,
-                     UnsupportedMaxval)
-from .geometry import box_from_mask
+from .errors import (BadMagic, EmptyDataset, EmptyMask, InvalidWindow,
+                     MalformedHeader, MalformedManifest, SizeMismatch,
+                     TruncatedPayload, UnsupportedMaxval)
+from .geometry import BoundingBox, box_from_mask
 from .metrics import disk_dilate
 from .rng import make_rng
 
@@ -30,10 +31,18 @@ NOISE_SIGMA = 0.05
 
 @dataclass(frozen=True)
 class SyntheticSample:
+    """An image, its nonempty target mask of the same shape, and the mask's GT box."""
+
     image: np.ndarray
     mask: np.ndarray
     distractor_count: int
     target_area_fraction: float
+    box: BoundingBox = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.image.shape != self.mask.shape:
+            raise SizeMismatch(f"image is {self.image.shape}, mask {self.mask.shape}")
+        object.__setattr__(self, "box", box_from_mask(self.mask))
 
 
 @dataclass(frozen=True)
@@ -163,9 +172,9 @@ def gen_synthetic(n: int, suite: str = "standard", grid: int = 128,
     min_grid, gen = _SUITES[suite]
     if grid < min_grid:
         raise ValueError(f"grid must be >= {min_grid} for the {suite} suite, got {grid}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     samples = [gen(grid, make_rng(seed, i)) for i in range(n)]
-    for sample in samples:
-        box_from_mask(sample.mask)  # generator contract: never empty
     n_train, n_val, n_test = split_counts(n)
     return DatasetSplit(train=tuple(samples[:n_train]),
                         val=tuple(samples[n_train:n_train + n_val]),
@@ -202,22 +211,18 @@ def resample_bilinear(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 # --- PGM mask I/O (P2 read, P5 read/write, maxval <= 255) ---
 
+# Blanks and comments, then a token.  A comment starts only where a token
+# could, so `12#3` is one (non-numeric) token.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _read_pgm_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]:
     tokens: list[int] = []
-    n = len(data)
-    while len(tokens) < count:
-        while pos < n and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < n and data[pos:pos + 1] == b"#":
-            while pos < n and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < n and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for _ in range(count):
+        match = _PGM_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
             raise MalformedHeader("unexpected end of PGM header")
-        token = data[start:pos]
         try:
             tokens.append(int(token))
         except ValueError:
@@ -355,11 +360,14 @@ def load_dataset(data_dir) -> DatasetSplit:
                     f"{manifest_path}: split {name!r} names unknown sample {sid!r}")
             entry = by_id[sid]
             image = read_f32_grid(root / entry["image"]).astype(np.float64)
-            mask = read_mask_pgm(root / entry["mask"])
-            samples.append(SyntheticSample(
-                image=image, mask=mask,
-                distractor_count=entry.get("distractor_count", 0),
-                target_area_fraction=entry.get("target_area_fraction", 0.0)))
+            mask_path = root / entry["mask"]
+            try:
+                samples.append(SyntheticSample(
+                    image=image, mask=read_mask_pgm(mask_path),
+                    distractor_count=entry.get("distractor_count", 0),
+                    target_area_fraction=entry.get("target_area_fraction", 0.0)))
+            except (SizeMismatch, EmptyMask) as e:
+                raise type(e)(f"{mask_path}: {e}") from None
         splits[name] = tuple(samples)
     return DatasetSplit(train=splits["train"], val=splits["val"],
                         test=splits["test"])

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from .errors import BoxOutOfBounds, EmptyDataset, NonFiniteGradient
-from .geometry import BoundingBox, box_from_mask, coefficients_for
+from .geometry import BoundingBox, coefficients_for
 from .metrics import dsc, nsd
 from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
 from .rng import make_rng
@@ -47,6 +47,7 @@ class _WorkArrays:
         self.inside, self.signed, self.p, self.t, self.u, self.v = (
             np.empty(shape) for _ in range(6))
         self.mask_a, self.mask_b = (np.empty(shape, dtype=bool) for _ in range(2))
+        self.inner = slice(0, 0), slice(0, 0)
 
 
 @dataclass
@@ -249,11 +250,11 @@ class EpochRecord:
     lr: float
 
 
-def _mean_val_loss(model: ToyModel, prompted) -> float:
-    """Mean combined loss over (sample, prompt box) pairs."""
+def _mean_val_loss(model: ToyModel, samples) -> float:
+    """Mean combined loss over samples, each prompted with its GT box."""
     losses = []
-    for sample, box in prompted:
-        work, _ = _forward(model, sample.image, box)
+    for sample in samples:
+        work, _ = _forward(model, sample.image, sample.box)
         losses.append(loss_mod.combined_loss_into(work.p, sample.mask, work.t).combined)
     return float(np.mean(losses))
 
@@ -261,35 +262,29 @@ def _mean_val_loss(model: ToyModel, prompted) -> float:
 def train(split, cfg: TrainConfig) -> tuple[ToyModel, list[EpochRecord]]:
     """Train on split.train with per-epoch validation on split.val.
 
-    One image per optimizer step, fresh perturbation draw per image per
-    epoch from the stream (seed, epoch, image index), reduce-on-plateau
-    schedule on the validation loss.  Fully deterministic for a fixed
-    config.  Each training image's GT box and perturbation offsets are
-    fixed, so they are computed once per fit.
+    One image per optimizer step, prompted with a fresh draw around its
+    GT box per epoch from the stream (seed, epoch, image index), with the
+    offsets computed once per fit; validation prompts with the GT box.
+    Reduce-on-plateau schedule on the validation loss.  Deterministic per config.
     """
     if not split.train or not split.val:
         raise EmptyDataset("train and val splits must be nonempty")
     pcfg = cfg.perturb
-    train_prompts = []
-    for sample in split.train:
-        h, w = sample.image.shape
-        gt_box = box_from_mask(sample.mask)
-        offsets = compute_offsets(pcfg, coefficients_for(gt_box, w, h, pcfg.theta_floor))
-        train_prompts.append((gt_box, offsets))
-    val_prompted = [(sample, box_from_mask(sample.mask)) for sample in split.val]
+    offsets = [compute_offsets(pcfg, coefficients_for(s.box, *s.image.shape[::-1],
+                                                      pcfg.theta_floor)) for s in split.train]
     model = ToyModel()
     history: list[EpochRecord] = []
     lr, best_val, stale = cfg.lr, np.inf, 0
     for epoch in range(1, cfg.epochs + 1):
         train_losses = []
-        for idx, (sample, (gt_box, offsets)) in enumerate(zip(split.train, train_prompts)):
+        for idx, (sample, sample_offsets) in enumerate(zip(split.train, offsets)):
             h, w = sample.image.shape
-            drawn = sample_perturbed_box(gt_box, offsets, w, h, pcfg,
+            drawn = sample_perturbed_box(sample.box, sample_offsets, w, h, pcfg,
                                          make_rng(cfg.seed, epoch, idx))
             report = train_step(model, sample.image, sample.mask, drawn.box,
                                 cfg.lam, lr)
             train_losses.append(report.combined)
-        val_loss = _mean_val_loss(model, val_prompted)
+        val_loss = _mean_val_loss(model, split.val)
         history.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(train_losses)),
                                    val_loss=val_loss, lr=lr))
         if val_loss < best_val:
@@ -311,25 +306,20 @@ class EvalResult:
     per_image_nsd: tuple[float, ...]
 
 
-def prompt_box_for_mode(gt_box: BoundingBox, mode: str, frac: float,
-                        image_w: int, image_h: int) -> BoundingBox:
-    """Derive the evaluation prompt box: standard, expanded or shrunk edges."""
-    if mode not in ("standard", "expand", "shrink"):
-        raise ValueError(f"unknown prompt mode {mode!r}")
-    if not (0.0 <= frac <= 0.4):
-        raise ValueError(f"frac must be in [0, 0.4], got {frac}")
-    if mode == "standard" or frac == 0.0:
-        return gt_box
-    sign = 1.0 if mode == "expand" else -1.0
-    dx, dy = sign * frac * gt_box.width, sign * frac * gt_box.height
+def prompt_box(gt_box: BoundingBox, grow: float, image_w: int, image_h: int) -> BoundingBox:
+    """gt_box with each edge moved outward by grow (in [-0.4, 0.4]) times the side
+    it lies along, or inward when grow < 0, and clipped to the image."""
+    if not -0.4 <= grow <= 0.4:  # also rejects NaN
+        raise ValueError(f"grow must be in [-0.4, 0.4], got {grow}")
+    dx, dy = grow * gt_box.width, grow * gt_box.height
     return BoundingBox(max(gt_box.x_min - dx, 0.0), max(gt_box.y_min - dy, 0.0),
                        min(gt_box.x_max + dx, float(image_w)),
                        min(gt_box.y_max + dy, float(image_h)))
 
 
-def evaluate(model: ToyModel, samples, mode: str = "standard", frac: float = 0.0,
-             tau: float = 2.0) -> EvalResult:
-    """Macro-averaged DSC/NSD over samples under one prompt regime.
+def evaluate(model: ToyModel, samples, grow: float = 0.0, tau: float = 2.0) -> EvalResult:
+    """Macro-averaged DSC/NSD over samples, each prompted with its GT box
+    grown by the signed edge fraction grow (see prompt_box).
 
     Predictions are thresholded at p > 0.5 (strict; ties go to
     background).  Raises EmptyDataset when there are no samples.
@@ -339,8 +329,7 @@ def evaluate(model: ToyModel, samples, mode: str = "standard", frac: float = 0.0
     dscs, nsds = [], []
     for sample in samples:
         h, w = sample.image.shape
-        box = prompt_box_for_mode(box_from_mask(sample.mask), mode, frac, w, h)
-        pred = predict(model, sample.image, box) > 0.5
+        pred = predict(model, sample.image, prompt_box(sample.box, grow, w, h)) > 0.5
         dscs.append(dsc(sample.mask, pred))
         nsds.append(nsd(sample.mask, pred, tau))
     return EvalResult(dsc_mean=float(np.mean(dscs)), nsd_mean=float(np.mean(nsds)),

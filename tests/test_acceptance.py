@@ -2,7 +2,7 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines.  The directional criteria (9, 10) train real models at desk scale
-and take a few minutes total.
+and take about 15 s together on 2 vCPUs.
 """
 
 import math
@@ -185,18 +185,18 @@ BASELINE = PerturbationConfig(eps_shrink=0.0, scale_by_target=False)
 FULL = PerturbationConfig()
 
 
-def _train_eval(split, perturb, mode, frac):
+def _train_eval(split, perturb, grow):
     cfg = toyseg.TrainConfig(perturb=perturb, seed=3)
     model, _ = toyseg.train(split, cfg)
     held_out = split.val + split.test
-    return toyseg.evaluate(model, held_out, mode=mode, frac=frac, tau=2.0)
+    return toyseg.evaluate(model, held_out, grow=grow, tau=2.0)
 
 
 def test_criterion_9_ablation_direction_shrink_prompts(standard_suite):
     assert len(standard_suite.train) == 200
     assert len(standard_suite.val) + len(standard_suite.test) == 50
-    base = _train_eval(standard_suite, BASELINE, "shrink", 0.1)
-    full = _train_eval(standard_suite, FULL, "shrink", 0.1)
+    base = _train_eval(standard_suite, BASELINE, -0.1)
+    full = _train_eval(standard_suite, FULL, -0.1)
     assert full.dsc_mean >= base.dsc_mean + 0.05
     assert full.nsd_mean > base.nsd_mean
     _report(9, f"shrink(0.1) prompts: full-adaptive DSC {full.dsc_mean:.4f} "
@@ -206,7 +206,7 @@ def test_criterion_9_ablation_direction_shrink_prompts(standard_suite):
 
 def test_criterion_10_ablation_direction_tiny_error_rate(tiny_suite):
     def error_rate(perturb):
-        res = _train_eval(tiny_suite, perturb, "standard", 0.0)
+        res = _train_eval(tiny_suite, perturb, 0.0)
         return float(np.mean([d < 0.5 for d in res.per_image_dsc]))
 
     base = error_rate(BASELINE)

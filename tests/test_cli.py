@@ -257,6 +257,7 @@ def test_gen_regeneration_identical(tmp_path):
                  "grid must be >= 13 for the standard suite", id="gen-negative-grid"),
     pytest.param(["gen", "--suite", "standard", "--grid", "6"],
                  "grid must be >= 13 for the standard suite", id="gen-standard-grid"),
+    pytest.param(["gen", "--seed", "-1"], "seed must be >= 0, got -1", id="gen-negative-seed"),
     pytest.param(["preprocess", "--resize", "0", "5"],
                  "output dimensions must be >= 1", id="preprocess-resize"),
 ])
@@ -338,6 +339,26 @@ def test_train_malformed_manifest_exit(tmp_path, capsys, manifest):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("mask_shape, message", [
+    ((20, 20), "SizeMismatch: {path}: image is (32, 32), mask (20, 20)"),
+    ((32, 32), "EmptyMask: {path}: cannot derive a box from an empty mask"),
+], ids=["size-mismatch", "empty-mask"])
+def test_train_bad_sample_exit(tmp_path, capsys, monkeypatch, mask_shape, message):
+    data_dir = tmp_path / "ds"
+    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
+               "--out-dir", str(data_dir)) == 0
+    mask_path = data_dir / "mask_0003.pgm"
+    data_mod.write_mask_pgm(mask_path, np.zeros(mask_shape, dtype=bool))
+    # The sample is checked as the dataset is loaded, before any fit.
+    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
+    capsys.readouterr()
+    model, hist = tmp_path / "m.json", tmp_path / "h.csv"
+    assert run("train", "--data-dir", str(data_dir), "--out", str(model),
+               "--history", str(hist)) == 2
+    assert capsys.readouterr().err == f"boxperturb: {message.format(path=mask_path)}\n"
+    assert not model.exists() and not hist.exists()
+
+
 def test_ablate_schema(tmp_path):
     root = tmp_path / "ds"
     assert run("gen", "--suite", "standard", "--n", "10", "--grid", "48",
@@ -401,6 +422,18 @@ def test_ablate_empty_test_split_exit(tmp_path, capsys, monkeypatch, suite):
         code = run("ablate", "--data-dir", str(root), "--config", str(cfg), "--out", str(out))
     assert code == 2
     assert capsys.readouterr().err == f"boxperturb: EmptyDataset: {root / suite}: empty test split\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "2", "0"])
+def test_ablate_rejects_bad_error_threshold(tmp_path, capsys, monkeypatch, threshold):
+    # Checked before any data is read: the data directory does not exist.
+    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
+    out = tmp_path / "ablation.csv"
+    assert run("ablate", "--data-dir", str(tmp_path / "missing"), "--out", str(out),
+               "--error-dsc-threshold", threshold) == 1
+    assert capsys.readouterr().err == (
+        f"boxperturb: --error-dsc-threshold must be in (0, 1], got {float(threshold)}\n")
     assert not out.exists()
 
 

@@ -1,11 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from boxperturb import data as data_mod
-from boxperturb.errors import (BadMagic, InvalidWindow, MalformedHeader,
-                               SizeMismatch, TruncatedPayload,
+from boxperturb.errors import (BadMagic, EmptyMask, InvalidWindow,
+                               MalformedHeader, SizeMismatch, TruncatedPayload,
                                UnsupportedMaxval)
 from boxperturb.geometry import box_from_mask
 from boxperturb.rng import make_rng
@@ -43,6 +44,19 @@ def test_standard_suite_contracts():
         box_from_mask(sample.mask)
         assert 0.02 <= sample.target_area_fraction <= 0.2 + 1e-9
         assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
+
+
+@pytest.mark.parametrize("suite, grid", [("standard", 48), ("tiny", 64)])
+def test_generated_samples_carry_their_mask_box(suite, grid):
+    for sample in data_mod.gen_synthetic(10, suite, grid=grid, seed=8).all_samples:
+        assert sample.box == box_from_mask(sample.mask)
+
+
+def test_sample_rejects_size_mismatch_and_empty_mask():
+    with pytest.raises(SizeMismatch, match=r"image is \(4, 5\), mask \(5, 4\)"):
+        data_mod.SyntheticSample(np.zeros((4, 5)), np.ones((5, 4), dtype=bool), 0, 1.0)
+    with pytest.raises(EmptyMask):
+        data_mod.SyntheticSample(np.zeros((4, 5)), np.zeros((4, 5), dtype=bool), 0, 0.0)
 
 
 def test_tiny_suite_contracts():
@@ -210,6 +224,26 @@ def test_pgm_ascii_p2(tmp_path):
     path.write_text("P2\n# comment\n2 1\n255\n0 255\n")
     mask = data_mod.read_mask_pgm(path)
     assert mask.tolist() == [[False, True]]
+
+
+def test_pgm_p2_comment_between_pixel_values(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P2 3 1 255\n0 # after the first pixel\n255 #\n# two in a row\n0")
+    assert data_mod.read_mask_pgm(path).tolist() == [[False, True, False]]
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"P2\n2 1\n255 # header ends here", "unexpected end of PGM header"),
+    (b"P2\n2 1\n255\n0 12#3\n", "non-numeric PGM header token b'12#3'"),
+    (b"P2\n2#1 1\n255\n0 1\n", "non-numeric PGM header token b'2#1'"),
+])
+def test_pgm_p2_comment_ends_or_splits_a_token(tmp_path, content, message):
+    # A comment starts only at the start of a token; one that runs to the
+    # end of the data leaves the header incomplete.
+    path = tmp_path / "a.pgm"
+    path.write_bytes(content)
+    with pytest.raises(MalformedHeader, match=re.escape(message)):
+        data_mod.read_mask_pgm(path)
 
 
 def test_pgm_unsupported_maxval(tmp_path):

@@ -270,10 +270,10 @@ def test_train_matches_full_image_reference_exactly(tiny_dataset, monkeypatch):
     def ref_gradient(model, image, mask, box):
         return reference_weight_gradient(model.weights, image, mask, box)
 
-    def ref_val_loss(model, prompted):
+    def ref_val_loss(model, samples):
         losses = []
-        for sample, box in prompted:
-            p, _ = reference_forward(model.weights, sample.image, box)
+        for sample in samples:
+            p, _ = reference_forward(model.weights, sample.image, sample.box)
             losses.append(loss_mod.combined_loss(p, sample.mask).combined)
         return float(np.mean(losses))
 
@@ -387,12 +387,62 @@ def test_scheduler_respects_min_lr(tiny_dataset, monkeypatch):
     assert min(rec.lr for rec in history) == 1e-6
 
 
+def _mode_prompt_box(gt_box, mode, frac, image_w, image_h):
+    """The standard/expand/shrink prompt formula that prompt_box replaced."""
+    if mode == "standard" or frac == 0.0:
+        return gt_box
+    sign = 1.0 if mode == "expand" else -1.0
+    dx, dy = sign * frac * gt_box.width, sign * frac * gt_box.height
+    return BoundingBox(max(gt_box.x_min - dx, 0.0), max(gt_box.y_min - dy, 0.0),
+                       min(gt_box.x_max + dx, float(image_w)),
+                       min(gt_box.y_max + dy, float(image_h)))
+
+
+def _prompt_test_boxes(rng, w, h):
+    """Random pixel-edge and fractional boxes, and boxes flush with each image edge."""
+    def edges(n, integer):
+        lo, hi = np.sort(rng.integers(0, n + 1, size=2) if integer else rng.uniform(0, n, 2))
+        return (float(lo), float(hi)) if lo < hi else (0.0, float(n))
+    for integer in (True, False):
+        for _ in range(20):
+            (x0, x1), (y0, y1) = edges(w, integer), edges(h, integer)
+            yield BoundingBox(x0, y0, x1, y1)
+            yield from (BoundingBox(0.0, y0, x1, y1), BoundingBox(x0, 0.0, x1, y1),
+                        BoundingBox(x0, y0, float(w), y1), BoundingBox(x0, y0, x1, float(h)))
+    yield BoundingBox(0.0, 0.0, float(w), float(h))
+
+
+def _box_bytes(box):
+    return np.array(astuple(box)).tobytes()
+
+
+def test_prompt_box_matches_mode_formula():
+    clipped = 0
+    for w, h in ((48, 48), (31, 17), (1, 1), (2, 40)):
+        rng = make_rng(520, w, h)
+        for box in _prompt_test_boxes(rng, w, h):
+            for frac in (0.0, 0.05, 0.1, 0.4):
+                for grow, mode in ((frac, "expand"), (-frac, "shrink")):
+                    got = toyseg.prompt_box(box, grow, w, h)
+                    want = _mode_prompt_box(box, mode, frac, w, h)
+                    assert _box_bytes(got) == _box_bytes(want), (box, grow, w, h)
+                # Expanding a box flush with an image edge clips there.
+                clipped += frac > 0 and (box.x_min == 0.0 or box.x_max == w)
+    assert clipped > 100
+
+
+@pytest.mark.parametrize("grow", [0.41, -0.41, float("nan")])
+def test_prompt_box_rejects_grow_outside_range(grow):
+    with pytest.raises(ValueError, match="grow must be in"):
+        toyseg.prompt_box(BoundingBox(2.0, 2.0, 6.0, 6.0), grow, 8, 8)
+
+
 def test_evaluate_expand_zero_equals_standard(tiny_dataset):
     model, _ = toyseg.train(tiny_dataset,
                             toyseg.TrainConfig(perturb=NO_PERTURB, epochs=3, seed=4))
     std = toyseg.evaluate(model, tiny_dataset.test)
-    exp0 = toyseg.evaluate(model, tiny_dataset.test, mode="expand", frac=0.0)
-    shr0 = toyseg.evaluate(model, tiny_dataset.test, mode="shrink", frac=0.0)
+    exp0 = toyseg.evaluate(model, tiny_dataset.test, grow=0.0)
+    shr0 = toyseg.evaluate(model, tiny_dataset.test, grow=-0.0)
     assert std == exp0 == shr0
 
 
@@ -400,7 +450,7 @@ def test_evaluate_perfect_oracle(tiny_dataset, monkeypatch):
     for sample in tiny_dataset.test:
         monkeypatch.setattr(toyseg, "predict",
                             lambda model, image, box, m=sample.mask: m.astype(float))
-        res = toyseg.evaluate(toyseg.ToyModel(), [sample], mode="shrink", frac=0.2)
+        res = toyseg.evaluate(toyseg.ToyModel(), [sample], grow=-0.2)
         assert res.dsc_mean == 1.0
         assert res.nsd_mean == 1.0
 
