@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import toyseg
-from .errors import BoxPerturbError, EmptyDataset
+from .errors import BoxPerturbError, EmptyDataset, EmptyMask
 from .geometry import box_from_mask, coefficients_for
 from .metrics import dsc, nsd
 from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
@@ -138,7 +138,10 @@ def cmd_perturb(args) -> int:
         config = replace(config, train=replace(config.train, seed=args.seed))
     mask = data_mod.read_mask_pgm(args.mask)
     h, w = mask.shape
-    box = box_from_mask(mask)
+    try:
+        box = box_from_mask(mask)
+    except EmptyMask as e:
+        raise EmptyMask(f"{args.mask}: {e}") from None
     pcfg = config.train.perturb
     coeffs = coefficients_for(box, w, h, pcfg.theta_floor)
     offsets = compute_offsets(pcfg, coeffs)

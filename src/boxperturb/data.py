@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadMagic, EmptyDataset, EmptyMask, InvalidWindow,
+from .errors import (BadMagic, BoxPerturbError, EmptyDataset, InvalidWindow,
                      MalformedHeader, MalformedManifest, SizeMismatch,
                      TruncatedPayload, UnsupportedMaxval)
 from .geometry import BoundingBox, box_from_mask
-from .metrics import disk_dilate
+from .metrics import count_within
 from .rng import make_rng
 
 FOREGROUND_MEAN = 0.7
@@ -109,7 +109,7 @@ def _gen_standard_sample(grid: int, rng: np.random.Generator) -> SyntheticSample
 
 def _near_test(target: np.ndarray):
     """Predicate: does another mask come within 10 px of target?"""
-    return lambda other: bool((target & disk_dilate(other, 10.0)).any())
+    return lambda other: count_within(target, other, 10.0) > 0
 
 
 def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
@@ -359,15 +359,17 @@ def load_dataset(data_dir) -> DatasetSplit:
                 raise MalformedManifest(
                     f"{manifest_path}: split {name!r} names unknown sample {sid!r}")
             entry = by_id[sid]
-            image = read_f32_grid(root / entry["image"]).astype(np.float64)
-            mask_path = root / entry["mask"]
+            # A bad file, or a mask that does not fit its image, is named.
+            path = root / entry["image"]
             try:
+                image = read_f32_grid(path).astype(np.float64)
+                path = root / entry["mask"]
                 samples.append(SyntheticSample(
-                    image=image, mask=read_mask_pgm(mask_path),
+                    image=image, mask=read_mask_pgm(path),
                     distractor_count=entry.get("distractor_count", 0),
                     target_area_fraction=entry.get("target_area_fraction", 0.0)))
-            except (SizeMismatch, EmptyMask) as e:
-                raise type(e)(f"{mask_path}: {e}") from None
+            except BoxPerturbError as e:
+                raise type(e)(f"{path}: {e}") from None
         splits[name] = tuple(samples)
     return DatasetSplit(train=splits["train"], val=splits["val"],
                         test=splits["test"])

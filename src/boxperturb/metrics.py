@@ -2,8 +2,10 @@
 
 Masks are 2D boolean arrays.  Boundary extraction uses 4-connectivity
 with the image border counting as outside; all distances are Euclidean
-distances between pixel centers.  One exact squared-distance pass serves
-both the distance transform and NSD's tau dilation, which caps it at tau.
+distances between pixel centers.  NSD counts the boundary pixels within
+tau of the other boundary with count_within, a sorted range query over
+the boundary pixels alone that builds no (h, w) array.  The exact
+distance transform serves the public API and the oracle tests.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ def dsc(g: np.ndarray, s: np.ndarray) -> float:
     g = np.asarray(g, dtype=bool)
     s = np.asarray(s, dtype=bool)
     _check_same_shape(g, s)
-    total = int(g.sum()) + int(s.sum())
+    total = int(np.count_nonzero(g)) + int(np.count_nonzero(s))
     if total == 0:
         return 1.0
-    return 2.0 * int((g & s).sum()) / total
+    return 2.0 * int(np.count_nonzero(g & s)) / total
 
 
 def boundary(mask: np.ndarray) -> np.ndarray:
@@ -40,14 +42,13 @@ def boundary(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def _squared_distances(source: np.ndarray, reach: float) -> np.ndarray:
-    """Squared distance from every pixel center to the nearest source pixel
-    at most reach rows away, or at least (h + w)**2 where there is none.
+def _squared_distances(source: np.ndarray) -> np.ndarray:
+    """Squared distance from every pixel center to the nearest source pixel.
 
     Two passes: a per-row scan to the nearest in-row source column, then
-    a per-column minimization over row offsets dr = 1, 2, ... up to
-    reach, which stops early once dr*dr reaches the largest squared
-    distance found so far (no farther row can lower any).  Every value
+    a per-column minimization over row offsets dr = 1, 2, ..., which
+    stops early once dr*dr reaches the largest squared distance found so
+    far (no farther row can lower any).  Every value
     is an exact integer in float64, so the transform matches brute force
     bit for bit.  Memory is a few (h, w) arrays.
     """
@@ -65,7 +66,7 @@ def _squared_distances(source: np.ndarray, reach: float) -> np.ndarray:
     sq = row_sq.copy()
     for dr in range(1, h):
         d2 = float(dr * dr)
-        if dr > reach or d2 >= sq.max():
+        if d2 >= sq.max():
             break
         np.minimum(sq[dr:], np.add(row_sq[:-dr], d2, out=buf[dr:]), out=sq[dr:])
         np.minimum(sq[:-dr], np.add(row_sq[dr:], d2, out=buf[:-dr]), out=sq[:-dr])
@@ -77,51 +78,86 @@ def distance_transform(source: np.ndarray) -> np.ndarray:
     source = np.asarray(source, dtype=bool)
     if not source.any():
         raise EmptySource("distance transform needs at least one source pixel")
-    sq = _squared_distances(source, math.inf)
+    sq = _squared_distances(source)
     return np.sqrt(sq, out=sq)
 
 
-def disk_dilate(source: np.ndarray, tau: float) -> np.ndarray:
-    """True where some source pixel lies within Euclidean distance tau.
+def _count_within(query: np.ndarray, source: np.ndarray, shape: tuple[int, int],
+                  tau: float) -> int:
+    """count_within on the sorted, nonempty flat (row-major) indices of
+    the query and source pixels of an (h, w) grid."""
+    h, w = shape
+    # sqrt(n) <= tau is monotone in the integer n, so it is n <= d2 for
+    # one d2; float(tau * tau) is off from it by at most 1 either way.
+    cap = (h - 1) ** 2 + (w - 1) ** 2
+    d2 = int(min(tau * tau, cap))
+    if d2 < cap and math.sqrt(d2 + 1) <= tau:
+        d2 += 1
+    elif math.sqrt(d2) > tau:
+        d2 -= 1
+    reach = math.isqrt(d2)
+    # Key r*pitch + c keeps a run of 2*reach + 1 columns inside one row.
+    pitch = w + 2 * reach + 1
+    s_rows = source // w
+    keys = source + s_rows * (pitch - w)
+    left = query + query // w * (pitch - w)
+    # Row offsets that reach a source row from some query row, nearest first.
+    lo = max(-reach, s_rows[0] - query[-1] // w)
+    hi = min(reach, s_rows[-1] - query[0] // w)
+    for dr in sorted(range(lo, hi + 1), key=abs):
+        half = math.isqrt(d2 - dr * dr)
+        first = left + (dr * pitch - half)
+        missed = np.searchsorted(keys, first) == np.searchsorted(keys, first + 2 * half,
+                                                                 side="right")
+        left = left[missed]
+        if left.size == 0:
+            break
+    return query.size - left.size
 
-    The float test of thresholding distance_transform, sqrt(d2) <= tau,
-    on the source's bounding box grown by floor(tau) (a pixel outside it
-    is farther than tau along one axis), with the column pass capped at
-    floor(tau) rows (as far as a source within tau can be).  Time
-    O(min(tau, h)*h*w) and memory O(h*w) for the window's h and w.
+
+def count_within(query: np.ndarray, source: np.ndarray, tau: float) -> int:
+    """Number of query pixels within Euclidean distance tau of some source pixel.
+
+    The same float test as thresholding distance_transform(source) at
+    tau, sqrt(n) <= tau on integer squared distances n, which is n <= d2
+    for one integer d2.  Source pixels are sorted keys; for each row
+    offset dr, nearest first, two binary searches find the queries with
+    a source pixel within the column half-width isqrt(d2 - dr*dr), and
+    those queries drop out.  Time O(q log s) per row offset tried (at
+    most 2*isqrt(d2) + 1 of them, fewer once every query is matched),
+    memory O(q + s) for q query and s source pixels; no (h, w) array is
+    built.
     """
+    if not tau >= 0:  # also rejects NaN
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    query = np.asarray(query, dtype=bool)
     source = np.asarray(source, dtype=bool)
-    out = np.zeros(source.shape, dtype=bool)
-    rows, cols = (np.flatnonzero(source.any(axis=axis)) for axis in (1, 0))
-    if rows.size == 0:
-        return out
-    grow = int(min(tau, sum(source.shape)))
-    win = np.s_[max(rows[0] - grow, 0):rows[-1] + grow + 1,
-                max(cols[0] - grow, 0):cols[-1] + grow + 1]
-    sq = _squared_distances(source[win], tau)
-    out[win] = np.sqrt(sq, out=sq) <= tau
-    return out
+    _check_same_shape(query, source)
+    q, s = np.flatnonzero(query), np.flatnonzero(source)
+    if q.size == 0 or s.size == 0:
+        return 0
+    return _count_within(q, s, source.shape, tau)
 
 
 def nsd(g: np.ndarray, s: np.ndarray, tau: float) -> float:
     """Normalized surface distance at tolerance tau.
 
     Fraction of each mask's boundary lying within Euclidean distance tau
-    of the other mask's boundary, found by dilating each boundary with
-    the tau disk.  Both boundaries empty -> 1.0; exactly one empty -> 0.0.
+    of the other mask's boundary, counted by count_within's range query
+    over the boundary pixels, so time and memory follow the boundary
+    lengths, not the grid or tau.  Both boundaries empty -> 1.0; exactly
+    one empty -> 0.0.
     """
     if not tau >= 0:  # also rejects NaN
         raise ValueError(f"tau must be >= 0, got {tau}")
     g = np.asarray(g, dtype=bool)
     s = np.asarray(s, dtype=bool)
     _check_same_shape(g, s)
-    bg = boundary(g)
-    bs = boundary(s)
-    n_bg = int(bg.sum())
-    n_bs = int(bs.sum())
-    if n_bg == 0 and n_bs == 0:
+    bg = np.flatnonzero(boundary(g))
+    bs = np.flatnonzero(boundary(s))
+    if bg.size == 0 and bs.size == 0:
         return 1.0
-    if n_bg == 0 or n_bs == 0:
+    if bg.size == 0 or bs.size == 0:
         return 0.0
-    hits = int((bg & disk_dilate(bs, tau)).sum()) + int((bs & disk_dilate(bg, tau)).sum())
-    return hits / (n_bg + n_bs)
+    hits = _count_within(bg, bs, g.shape, tau) + _count_within(bs, bg, g.shape, tau)
+    return hits / (bg.size + bs.size)

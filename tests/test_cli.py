@@ -156,11 +156,13 @@ def test_perturb_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_perturb_empty_mask_exit_code(tmp_path):
+def test_perturb_empty_mask_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.pgm"
     data_mod.write_mask_pgm(empty, np.zeros((8, 8), dtype=bool))
     out = tmp_path / "out.csv"
     assert run("perturb", "--mask", str(empty), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"boxperturb: EmptyMask: {empty}: cannot derive a box from an empty mask\n")
     assert not out.exists()
 
 
@@ -356,6 +358,28 @@ def test_train_bad_sample_exit(tmp_path, capsys, monkeypatch, mask_shape, messag
     assert run("train", "--data-dir", str(data_dir), "--out", str(model),
                "--history", str(hist)) == 2
     assert capsys.readouterr().err == f"boxperturb: {message.format(path=mask_path)}\n"
+    assert not model.exists() and not hist.exists()
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("img_0003.f32g", None, "SizeMismatch: {path}: payload is 84 bytes, header implies 4096"),
+    ("mask_0002.pgm", b"P5\n32 x\n255",
+     "MalformedHeader: {path}: non-numeric PGM header token b'x'"),
+], ids=["truncated-image", "bad-mask-header"])
+def test_train_bad_file_exit(tmp_path, capsys, monkeypatch, name, content, message):
+    data_dir = tmp_path / "ds"
+    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
+               "--out-dir", str(data_dir)) == 0
+    path = data_dir / name
+    if content is None:  # cut the 32x32 image to 100 bytes
+        content = path.read_bytes()[:100]
+    path.write_bytes(content)
+    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
+    capsys.readouterr()
+    model, hist = tmp_path / "m.json", tmp_path / "h.csv"
+    assert run("train", "--data-dir", str(data_dir), "--out", str(model),
+               "--history", str(hist)) == 2
+    assert capsys.readouterr().err == f"boxperturb: {message.format(path=path)}\n"
     assert not model.exists() and not hist.exists()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boxperturb.errors import DimensionMismatch, EmptySource
-from boxperturb.metrics import boundary, disk_dilate, distance_transform, dsc, nsd
+from boxperturb.metrics import boundary, count_within, distance_transform, dsc, nsd
 from boxperturb.rng import make_rng
 
 from oracles import brute_boundary, brute_distance_grid, brute_nsd
@@ -233,23 +233,55 @@ CONFINED = [(np.s_[0:3], np.s_[10:16]), (np.s_[20:23], np.s_[12:17]),
 
 
 @pytest.mark.parametrize("rows, cols", CONFINED, ids=range(len(CONFINED)))
-def test_disk_dilate_confined_source_matches_transform(rows, cols):
-    # The window around such a source is smaller than the grid, so a
-    # window one pixel short or unclipped at an edge shows here.
+def test_count_within_confined_source_matches_transform(rows, cols):
+    # The source's rows span less than the grid, so a row offset range
+    # one short, a column half-width one short or a key pitch that lets
+    # a range wrap into the next row shows here.
     for i in range(4):
         src = np.zeros((23, 31), dtype=bool)
         src[rows, cols] = make_rng(314, i).random(src[rows, cols].shape) < 0.5
         src[rows.start, cols.start] = True
         d = distance_transform(src)
-        for tau in EDGE_TAUS:
-            assert (disk_dilate(src, tau) == (d <= tau)).all()
+        for j, tau in enumerate(EDGE_TAUS):
+            query = make_rng(315, i, j).random(src.shape) < 0.3
+            assert count_within(query, src, tau) == int((query & (d <= tau)).sum())
 
 
-def test_disk_dilate_empty_source():
+def test_count_within_empty_query_or_source():
     for shape in ((1, 1), (5, 7)):
+        full = np.ones(shape, dtype=bool)
+        empty = np.zeros(shape, dtype=bool)
         for tau in EDGE_TAUS:
-            out = disk_dilate(np.zeros(shape, dtype=bool), tau)
-            assert out.shape == shape and not out.any()
+            assert count_within(empty, full, tau) == 0
+            assert count_within(full, empty, tau) == 0
+            assert count_within(empty, empty, tau) == 0
+
+
+@pytest.mark.parametrize("tau", [1000.0, math.inf])
+def test_nsd_opposite_corners_at_large_tau(tau):
+    # Every pixel of a 512^2 grid lies within its diagonal (~723) of every other.
+    g = np.zeros((512, 512), dtype=bool)
+    s = np.zeros((512, 512), dtype=bool)
+    g[0, 0] = True
+    s[-1, -1] = True
+    assert nsd(g, s, tau) == 1.0
+
+
+def test_nsd_memory_follows_the_boundaries():
+    # Two ellipses spanning most of a 1024^2 grid, with boundaries of a
+    # few thousand pixels each: a float64 array over their bounding box
+    # alone would take about 7 MiB.
+    yy, xx = np.ogrid[:1024, :1024]
+    g = ((xx - 511) / 480.0) ** 2 + ((yy - 515) / 440.0) ** 2 <= 1.0
+    s = ((xx - 507) / 470.0) ** 2 + ((yy - 509) / 450.0) ** 2 <= 1.0
+    tracemalloc.start()
+    try:
+        value = nsd(g, s, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < 1.0
+    assert peak <= 16 * 2**20
 
 
 def transform_nsd(g, s, tau):
