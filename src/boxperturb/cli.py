@@ -177,8 +177,8 @@ def cmd_eval(args) -> int:
         "dsc": dsc(gt, pred),
         "nsd": nsd(gt, pred, args.tau),
         "tau": args.tau if math.isfinite(args.tau) else "inf",
-        "gt_pixels": int(gt.sum()),
-        "pred_pixels": int(pred.sum()),
+        "gt_pixels": int(np.count_nonzero(gt)),
+        "pred_pixels": int(np.count_nonzero(pred)),
     }
     Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
@@ -265,7 +265,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    raw = data_mod.read_f32_grid(args.infile).astype(np.float64)
+    raw = data_mod.read_f32_grid(args.infile)
     out = data_mod.window_normalize(raw, args.window[0], args.window[1])
     if args.resize is not None:
         out = data_mod.resample_bilinear(out, args.resize[0], args.resize[1])
@@ -335,21 +335,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stamp(path: Path):
+    """(inode, size, mtime) of the file at path, or None if there is none."""
+    try:
+        st = path.stat()
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
-    outputs = [Path(p) for p in args.outputs(args)]
+    outputs = {path: _stamp(path) for path in map(Path, args.outputs(args))}
     try:
         return args.func(args)
     except (BoxPerturbError, OSError, RuntimeError) as e:  # before its base, ValueError
         message, code = f"{type(e).__name__}: {e}", 2
     except ValueError as e:  # a bad flag, config value, size or other value
         message, code = str(e), 1
-    for path in outputs:
-        path.unlink(missing_ok=True)
+    for path, stamp in outputs.items():  # remove only what this run created or changed
+        if _stamp(path) != stamp:
+            path.unlink(missing_ok=True)
     print(f"boxperturb: {message}", file=sys.stderr)
     return code
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,11 +108,6 @@ def _gen_standard_sample(grid: int, rng: np.random.Generator) -> SyntheticSample
     return sample
 
 
-def _near_test(target: np.ndarray):
-    """Predicate: does another mask come within 10 px of target?"""
-    return lambda other: count_within(target, other, 10.0) > 0
-
-
 def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
     max_r = np.sqrt(0.01 * grid * grid / np.pi)
     for _ in range(100):
@@ -122,7 +118,6 @@ def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
         if not mask.any() or mask.sum() >= 0.01 * grid * grid:
             continue
 
-        is_near = _near_test(mask)
         fg = mask.copy()
         n_distract = int(rng.integers(1, 4))
         placed = 0
@@ -141,7 +136,7 @@ def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
             dmask = _ellipse_mask(grid, dx, dy, dr, dr)
             if not dmask.any() or (dmask & mask).any():
                 continue
-            near_ok = near_ok or is_near(dmask)
+            near_ok = near_ok or count_within(mask, dmask, 10.0) > 0
             fg |= dmask
             placed += 1
         if not near_ok:  # also when no distractor was placed
@@ -230,30 +225,40 @@ def _read_pgm_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]
     return tokens, pos
 
 
-def read_mask_pgm(path) -> np.ndarray:
-    """Read a P2 or P5 PGM file as a binary mask (value > 0 means foreground)."""
+@contextmanager
+def _reading(path):
+    """Yield the bytes of the file at path; a format error in the block names path."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:2] not in (b"P2", b"P5"):
-        raise MalformedHeader(f"not a P2/P5 PGM file: magic {data[:2]!r}")
-    (width, height, maxval), pos = _read_pgm_tokens(data, 3, 2)
-    if width < 1 or height < 1:
-        raise MalformedHeader(f"invalid PGM dimensions {width}x{height}")
-    if maxval < 1 or maxval > 255:
-        raise UnsupportedMaxval(f"maxval {maxval} outside 1..255")
-    count = width * height
-    if data[:2] == b"P2":
-        values, _ = _read_pgm_tokens(data, count, pos)
-        pixels = np.array(values)  # no fixed dtype: a huge value must reach the range check
-    else:
-        payload = data[pos + 1:pos + 1 + count]
-        if len(payload) < count:
-            raise TruncatedPayload(
-                f"expected {count} pixel bytes, got {len(payload)}")
-        pixels = np.frombuffer(payload, dtype=np.uint8)
-    if pixels.min() < 0 or pixels.max() > maxval:
-        raise MalformedHeader("pixel value outside 0..maxval")
-    return (pixels > 0).reshape(height, width)
+    try:
+        yield data
+    except BoxPerturbError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def read_mask_pgm(path) -> np.ndarray:
+    """Read a P2/P5 PGM file as a mask (pixel > 0 is true); a format error names path."""
+    with _reading(path) as data:
+        if data[:2] not in (b"P2", b"P5"):
+            raise MalformedHeader(f"not a P2/P5 PGM file: magic {data[:2]!r}")
+        (width, height, maxval), pos = _read_pgm_tokens(data, 3, 2)
+        if width < 1 or height < 1:
+            raise MalformedHeader(f"invalid PGM dimensions {width}x{height}")
+        if maxval < 1 or maxval > 255:
+            raise UnsupportedMaxval(f"maxval {maxval} outside 1..255")
+        count = width * height
+        if data[:2] == b"P2":
+            values, _ = _read_pgm_tokens(data, count, pos)
+            pixels = np.array(values)  # no fixed dtype: huge values must reach the range check
+        else:
+            payload = data[pos + 1:pos + 1 + count]
+            if len(payload) < count:
+                raise TruncatedPayload(
+                    f"expected {count} pixel bytes, got {len(payload)}")
+            pixels = np.frombuffer(payload, dtype=np.uint8)
+        if pixels.min() < 0 or pixels.max() > maxval:
+            raise MalformedHeader("pixel value outside 0..maxval")
+        return (pixels > 0).reshape(height, width)
 
 
 def write_mask_pgm(path, mask: np.ndarray):
@@ -271,19 +276,19 @@ F32G_MAGIC = b"F32G"
 
 
 def read_f32_grid(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != F32G_MAGIC:
-        raise BadMagic(f"bad magic {data[:4]!r}")
-    if len(data) < 16:
-        raise SizeMismatch("truncated F32G header")
-    width, height, _reserved = struct.unpack("<III", data[4:16])
-    expected = width * height * 4
-    if len(data) - 16 != expected:
-        raise SizeMismatch(
-            f"payload is {len(data) - 16} bytes, header implies {expected}")
-    values = np.frombuffer(data[16:], dtype="<f4")
-    return values.reshape(height, width).astype(np.float32)
+    """Read an F32G file as a float32 (height, width) grid; a format error names path."""
+    with _reading(path) as data:
+        if data[:4] != F32G_MAGIC:
+            raise BadMagic(f"bad magic {data[:4]!r}")
+        if len(data) < 16:
+            raise SizeMismatch("truncated F32G header")
+        width, height, _reserved = struct.unpack("<III", data[4:16])
+        expected = width * height * 4
+        if len(data) - 16 != expected:
+            raise SizeMismatch(
+                f"payload is {len(data) - 16} bytes, header implies {expected}")
+        values = np.frombuffer(data[16:], dtype="<f4")
+        return values.reshape(height, width).astype(np.float32)
 
 
 def write_f32_grid(path, grid: np.ndarray):
@@ -359,17 +364,15 @@ def load_dataset(data_dir) -> DatasetSplit:
                 raise MalformedManifest(
                     f"{manifest_path}: split {name!r} names unknown sample {sid!r}")
             entry = by_id[sid]
-            # A bad file, or a mask that does not fit its image, is named.
-            path = root / entry["image"]
-            try:
-                image = read_f32_grid(path).astype(np.float64)
-                path = root / entry["mask"]
+            image = read_f32_grid(root / entry["image"]).astype(np.float64)
+            mask = read_mask_pgm(root / entry["mask"])
+            try:  # a mask that does not fit its image, or is empty, is named
                 samples.append(SyntheticSample(
-                    image=image, mask=read_mask_pgm(path),
+                    image=image, mask=mask,
                     distractor_count=entry.get("distractor_count", 0),
                     target_area_fraction=entry.get("target_area_fraction", 0.0)))
             except BoxPerturbError as e:
-                raise type(e)(f"{path}: {e}") from None
+                raise type(e)(f"{root / entry['mask']}: {e}") from None
         splits[name] = tuple(samples)
     return DatasetSplit(train=splits["train"], val=splits["val"],
                         test=splits["test"])

@@ -42,16 +42,20 @@ def boundary(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def _squared_distances(source: np.ndarray) -> np.ndarray:
-    """Squared distance from every pixel center to the nearest source pixel.
+def distance_transform(source: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from every pixel center to the nearest source pixel.
 
-    Two passes: a per-row scan to the nearest in-row source column, then
-    a per-column minimization over row offsets dr = 1, 2, ..., which
-    stops early once dr*dr reaches the largest squared distance found so
-    far (no farther row can lower any).  Every value
-    is an exact integer in float64, so the transform matches brute force
-    bit for bit.  Memory is a few (h, w) arrays.
+    Two passes over squared distances: a per-row scan to the nearest
+    in-row source column, then a per-column minimization over row
+    offsets dr = 1, 2, ..., which stops early once dr*dr reaches the
+    largest squared distance found so far (no farther row can lower
+    any).  Every squared distance is an exact integer in float64, so the
+    transform matches brute force bit for bit.  Memory is a few (h, w)
+    arrays.  Raises EmptySource when source has no pixel.
     """
+    source = np.asarray(source, dtype=bool)
+    if not source.any():
+        raise EmptySource("distance transform needs at least one source pixel")
     h, w = source.shape
     cols = np.arange(w, dtype=np.float64)
     # Squared distance to the nearest source column at or left of each
@@ -70,15 +74,6 @@ def _squared_distances(source: np.ndarray) -> np.ndarray:
             break
         np.minimum(sq[dr:], np.add(row_sq[:-dr], d2, out=buf[dr:]), out=sq[dr:])
         np.minimum(sq[:-dr], np.add(row_sq[dr:], d2, out=buf[:-dr]), out=sq[:-dr])
-    return sq
-
-
-def distance_transform(source: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance from every pixel center to the nearest source pixel."""
-    source = np.asarray(source, dtype=bool)
-    if not source.any():
-        raise EmptySource("distance transform needs at least one source pixel")
-    sq = _squared_distances(source)
     return np.sqrt(sq, out=sq)
 
 

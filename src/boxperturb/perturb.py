@@ -105,7 +105,6 @@ def sample_perturbed_box(box: BoundingBox, offsets: OffsetQuad,
     e_x, d_x = abs(offsets.eps1), offsets.delta1
     e_y, d_y = abs(offsets.eps2), offsets.delta2
 
-    draws = (0.0, 0.0, 0.0, 0.0)
     for attempt in range(config.max_resample + 1):
         x_min = _draw_edge(rng, box.x_min - d_x, box.x_min + e_x)
         x_max = _draw_edge(rng, box.x_max - e_x, box.x_max + d_x)
@@ -148,8 +147,6 @@ class PerturbationStats:
     n: int
     mean_width: float
     mean_height: float
-    mean_center: tuple[float, float]
-    expand_dominant_fraction: float
     resample_rate: float
 
 
@@ -172,22 +169,15 @@ def perturbation_stats(box: BoundingBox, config: PerturbationConfig,
     offsets = compute_offsets(config, coeffs)
     widths = np.empty(n)
     heights = np.empty(n)
-    centers = np.empty((n, 2))
-    expand_dominant = 0
     resampled = 0
     for i in range(n):
         p = sample_perturbed_box(box, offsets, image_w, image_h, config, rng)
         widths[i] = p.box.width
         heights[i] = p.box.height
-        centers[i] = p.box.center
-        if p.box.area > box.area:
-            expand_dominant += 1
         if p.resample_count > 0:
             resampled += 1
     return PerturbationStats(
         n=n,
         mean_width=float(widths.mean()),
         mean_height=float(heights.mean()),
-        mean_center=(float(centers[:, 0].mean()), float(centers[:, 1].mean())),
-        expand_dominant_fraction=expand_dominant / n,
         resample_rate=resampled / n)

@@ -301,7 +301,6 @@ def train(split, cfg: TrainConfig) -> tuple[ToyModel, list[EpochRecord]]:
 class EvalResult:
     dsc_mean: float
     nsd_mean: float
-    tau: float
     per_image_dsc: tuple[float, ...]
     per_image_nsd: tuple[float, ...]
 
@@ -333,7 +332,7 @@ def evaluate(model: ToyModel, samples, grow: float = 0.0, tau: float = 2.0) -> E
         dscs.append(dsc(sample.mask, pred))
         nsds.append(nsd(sample.mask, pred, tau))
     return EvalResult(dsc_mean=float(np.mean(dscs)), nsd_mean=float(np.mean(nsds)),
-                      tau=tau, per_image_dsc=tuple(dscs), per_image_nsd=tuple(nsds))
+                      per_image_dsc=tuple(dscs), per_image_nsd=tuple(nsds))
 
 
 def save_model(model: ToyModel, path, train_config_echo: dict | None = None):

@@ -383,6 +383,61 @@ def test_train_bad_file_exit(tmp_path, capsys, monkeypatch, name, content, messa
     assert not model.exists() and not hist.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--gt", "{bad}", "--pred", "{mask}"],
+    ["eval", "--gt", "{mask}", "--pred", "{bad}"],
+    ["perturb", "--mask", "{bad}"],
+    ["preprocess", "--in", "{bad}", "--window", "0", "1"],
+], ids=["eval-gt", "eval-pred", "perturb-mask", "preprocess-in"])
+def test_bad_input_file_exit(tmp_path, capsys, mask_file, argv):
+    if argv[0] == "preprocess":  # an F32G grid cut to 40 bytes
+        bad = tmp_path / "cut.f32g"
+        data_mod.write_f32_grid(bad, np.zeros((32, 32), dtype=np.float32))
+        bad.write_bytes(bad.read_bytes()[:40])
+        message = "SizeMismatch: {path}: payload is 24 bytes, header implies 4096"
+    else:
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n32 x\n255")
+        message = "MalformedHeader: {path}: non-numeric PGM header token b'x'"
+    out = tmp_path / "out"
+    argv = [a.format(bad=bad, mask=mask_file) for a in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"boxperturb: {message.format(path=bad)}\n"
+    assert err.count(str(bad)) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["eval-bad-tau", "ablate-missing-suite", "perturb-empty-mask"])
+def test_failed_command_keeps_existing_output(tmp_path, mask_file, case):
+    # None of these failures opens --out, so a file already there is left alone.
+    out = tmp_path / "keep.out"
+    out.write_bytes(b"written before\n")
+    empty = tmp_path / "empty.pgm"
+    data_mod.write_mask_pgm(empty, np.zeros((8, 8), dtype=bool))
+    argv, code = {
+        "eval-bad-tau": (["eval", "--gt", str(mask_file), "--pred", str(mask_file),
+                          "--tau", "-1"], 1),
+        "ablate-missing-suite": (["ablate", "--data-dir", str(tmp_path / "nowhere")], 2),
+        "perturb-empty-mask": (["perturb", "--mask", str(empty)], 2),
+    }[case]
+    assert run(*argv, "--out", str(out)) == code
+    assert out.read_bytes() == b"written before\n"
+
+
+def test_failed_train_removes_the_model_it_wrote(tmp_path, capsys):
+    data_dir = tmp_path / "ds"
+    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
+               "--out-dir", str(data_dir)) == 0
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("epochs = 1\n")
+    model = tmp_path / "m.json"
+    assert run("train", "--data-dir", str(data_dir), "--config", str(cfg), "--out", str(model),
+               "--history", str(tmp_path / "missing" / "h.csv")) == 2
+    assert capsys.readouterr().err.startswith("boxperturb: FileNotFoundError: ")
+    assert not model.exists()
+
+
 def test_ablate_schema(tmp_path):
     root = tmp_path / "ds"
     assert run("gen", "--suite", "standard", "--n", "10", "--grid", "48",

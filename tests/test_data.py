@@ -9,6 +9,7 @@ from boxperturb.errors import (BadMagic, EmptyMask, InvalidWindow,
                                MalformedHeader, SizeMismatch, TruncatedPayload,
                                UnsupportedMaxval)
 from boxperturb.geometry import box_from_mask
+from boxperturb.metrics import count_within
 from boxperturb.rng import make_rng
 
 from oracles import brute_distance_grid, brute_min_gap
@@ -90,9 +91,11 @@ def test_tiny_generation_memory_bounded():
     assert peak < 64 * 2**20
 
 
+# The tiny suite keeps a target whose distractors come within 10 px of it,
+# tested as count_within(target, distractor, 10.0) > 0.
 # 99 is not a sum of two squares, so no two pixel centers are sqrt(99) apart.
 @pytest.mark.parametrize("gap2", [98, 100, 101])
-def test_near_test_matches_all_pairs_oracle(gap2):
+def test_count_within_10px_matches_all_pairs_oracle(gap2):
     grid, checked = 40, 0
     for i in range(40):
         rng = make_rng(605, gap2, i)
@@ -111,12 +114,12 @@ def test_near_test_matches_all_pairs_oracle(gap2):
         other = (d2 > gap2) & (rng.random((grid, grid)) < 0.05)
         other[tuple(candidates[rng.integers(len(candidates))])] = True
         assert brute_min_gap(target, other) == np.sqrt(gap2)
-        assert data_mod._near_test(target)(other) is (brute_min_gap(target, other) <= 10.0)
+        assert (count_within(target, other, 10.0) > 0) is (brute_min_gap(target, other) <= 10.0)
         checked += 1
     assert checked >= 30
 
 
-def test_near_test_random_pairs():
+def test_count_within_10px_random_pairs():
     for i in range(60):
         rng = make_rng(606, i)
         grid = int(rng.integers(1, 50))
@@ -124,7 +127,7 @@ def test_near_test_random_pairs():
         other = rng.random((grid, grid)) < rng.uniform(0.002, 0.05)
         if not (target.any() and other.any()):
             continue
-        assert data_mod._near_test(target)(other) is (brute_min_gap(target, other) <= 10.0)
+        assert (count_within(target, other, 10.0) > 0) is (brute_min_gap(target, other) <= 10.0)
 
 
 def test_window_normalize_endpoints():
