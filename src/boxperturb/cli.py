@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error or bad value, 2 data/I-O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -280,7 +281,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main` call.
+
+    Parsing keeps no state in the parser: each call fills a new namespace.
+    """
     parser = _Parser(prog="boxperturb",
                      description="Adaptive bounding-box perturbation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -352,6 +358,9 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 1
     outputs = {path: _stamp(path) for path in map(Path, args.outputs(args))}
     try:
+        for path in outputs:  # fail before any work, not after it
+            if not path.parent.is_dir():
+                raise FileNotFoundError(f"output directory {path.parent} does not exist")
         return args.func(args)
     except (BoxPerturbError, OSError, RuntimeError) as e:  # before its base, ValueError
         message, code = f"{type(e).__name__}: {e}", 2

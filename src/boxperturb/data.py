@@ -250,13 +250,15 @@ def read_mask_pgm(path) -> np.ndarray:
         if data[:2] == b"P2":
             values, _ = _read_pgm_tokens(data, count, pos)
             pixels = np.array(values)  # no fixed dtype: huge values must reach the range check
+            out_of_range = pixels.min() < 0 or pixels.max() > maxval
         else:
-            payload = data[pos + 1:pos + 1 + count]
-            if len(payload) < count:
-                raise TruncatedPayload(
-                    f"expected {count} pixel bytes, got {len(payload)}")
-            pixels = np.frombuffer(payload, dtype=np.uint8)
-        if pixels.min() < 0 or pixels.max() > maxval:
+            available = max(len(data) - (pos + 1), 0)
+            if available < count:
+                raise TruncatedPayload(f"expected {count} pixel bytes, got {available}")
+            # A view of the payload in place; a uint8 byte can exceed only a maxval below 255.
+            pixels = np.frombuffer(data, np.uint8, count=count, offset=pos + 1)
+            out_of_range = maxval < 255 and pixels.max() > maxval
+        if out_of_range:
             raise MalformedHeader("pixel value outside 0..maxval")
         return (pixels > 0).reshape(height, width)
 

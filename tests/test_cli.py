@@ -8,7 +8,7 @@ import pytest
 
 from boxperturb import data as data_mod
 from boxperturb import toyseg
-from boxperturb.cli import main, read_run_config
+from boxperturb.cli import build_parser, main, read_run_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -408,6 +408,16 @@ def test_bad_input_file_exit(tmp_path, capsys, mask_file, argv):
     assert not out.exists()
 
 
+def test_eval_pixel_above_maxval_exit(tmp_path, capsys, mask_file):
+    over = tmp_path / "over.pgm"
+    over.write_bytes(b"P5\n2 1\n200\n\x00\xc9")  # 201 > maxval 200
+    out = tmp_path / "out.json"
+    assert run("eval", "--gt", str(over), "--pred", str(mask_file), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"boxperturb: MalformedHeader: {over}: pixel value outside 0..maxval\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["eval-bad-tau", "ablate-missing-suite", "perturb-empty-mask"])
 def test_failed_command_keeps_existing_output(tmp_path, mask_file, case):
     # None of these failures opens --out, so a file already there is left alone.
@@ -436,6 +446,30 @@ def test_failed_train_removes_the_model_it_wrote(tmp_path, capsys):
                "--history", str(tmp_path / "missing" / "h.csv")) == 2
     assert capsys.readouterr().err.startswith("boxperturb: FileNotFoundError: ")
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "train", "eval"])
+def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        mask_file, command):
+    root = tmp_path / "ds"
+    for suite, grid in (("standard", "32"), ("tiny", "64")):
+        assert run("gen", "--suite", suite, "--n", "10", "--grid", grid,
+                   "--seed", "4", "--out-dir", str(root / suite)) == 0
+    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
+    capsys.readouterr()
+    missing = tmp_path / "missing"
+    model = tmp_path / "m.json"
+    argv = {
+        "ablate": ["ablate", "--data-dir", str(root), "--out", str(missing / "x.csv")],
+        "train": ["train", "--data-dir", str(root / "standard"), "--out", str(model),
+                  "--history", str(missing / "h.csv")],
+        "eval": ["eval", "--gt", str(mask_file), "--pred", str(mask_file),
+                 "--out", str(missing / "x.json")],
+    }[command]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"boxperturb: FileNotFoundError: output directory {missing} does not exist\n")
+    assert not missing.exists() and not model.exists()
 
 
 def test_ablate_schema(tmp_path):
@@ -554,3 +588,33 @@ def test_preprocess_invalid_window_exit(tmp_path):
 def test_usage_error_exit_code():
     assert run("perturb") == 1
     assert run("no-such-command") == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, mask_file):
+    assert build_parser() is build_parser()
+    other = tmp_path / "other.pgm"
+    shifted = np.zeros((32, 32), dtype=bool)
+    shifted[12:22, 10:26] = True
+    data_mod.write_mask_pgm(other, shifted)
+    lone, again = tmp_path / "lone.json", tmp_path / "again.json"
+    eval_argv = ["eval", "--gt", str(mask_file), "--pred", str(other)]
+    assert run(*eval_argv, "--out", str(lone)) == 0
+    assert run("eval", "--gt", str(mask_file), "--tau", "x") == 1
+    assert run(*eval_argv, "--out", str(again)) == 0
+    assert again.read_bytes() == lone.read_bytes()
+    # A flag given to one call does not become the next call's default.
+    assert run(*eval_argv, "--tau", "3", "--out", str(again)) == 0
+    assert json.loads(again.read_text())["tau"] == 3.0
+    assert run(*eval_argv, "--out", str(again)) == 0
+    assert json.loads(again.read_text())["tau"] == 2.0
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 7\n")
+    seeded, unseeded, seven = (tmp_path / f"{name}.csv" for name in ("5", "none", "7"))
+    assert run("perturb", "--mask", str(mask_file), "--config", str(cfg), "--seed", "5",
+               "--out", str(seeded)) == 0
+    assert run("perturb", "--mask", str(mask_file), "--config", str(cfg),
+               "--out", str(unseeded)) == 0
+    assert run("perturb", "--mask", str(mask_file), "--config", str(cfg), "--seed", "7",
+               "--out", str(seven)) == 0
+    assert "# seed = 7\n" in unseeded.read_text()
+    assert unseeded.read_bytes() == seven.read_bytes() != seeded.read_bytes()

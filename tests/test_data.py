@@ -267,8 +267,36 @@ def test_pgm_malformed_and_truncated(tmp_path):
         data_mod.read_mask_pgm(short)
 
 
+@pytest.mark.parametrize("content, got", [
+    (b"P5\n4 4\n255\n\x00\x01", 2), (b"P5\n4 4\n255\n" + b"\xff" * 15, 15),
+    (b"P5\n4 4\n255\n", 0), (b"P5\n4 4\n255", 0),
+])
+def test_pgm_truncated_payload_names_both_counts(tmp_path, content, got):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(content)
+    with pytest.raises(TruncatedPayload,
+                       match=re.escape(f"{path}: expected 16 pixel bytes, got {got}")):
+        data_mod.read_mask_pgm(path)
+
+
+def test_pgm_p5_reads_exactly_width_times_height_bytes(tmp_path):
+    path = tmp_path / "trailing.pgm"
+    path.write_bytes(b"P5\n3 2\n255\n\x00\xff\x00\x01\x00\x00" + b"\xff\x07 trailing")
+    mask = data_mod.read_mask_pgm(path)
+    assert mask.tolist() == [[False, True, False], [True, False, False]]
+    # The mask owns its memory: it is writable and shares none with the file's bytes.
+    assert mask.flags.writeable
+    base = mask
+    while isinstance(base.base, np.ndarray):
+        base = base.base
+    assert base.base is None
+    mask[:] = True
+    assert data_mod.read_mask_pgm(path).tolist() == [[False, True, False], [True, False, False]]
+
+
 @pytest.mark.parametrize("content", [
-    b"P5\n2 1\n1\n\x00\x02", b"P5\n1 1\n254\n\xff", b"P2\n2 1\n255\n0 -1\n",
+    b"P5\n2 1\n1\n\x00\x02", b"P5\n1 1\n254\n\xff", b"P5\n2 1\n200\n\xc8\xc9",
+    b"P2\n2 1\n255\n0 -1\n",
     b"P2\n2 1\n7\n0 8\n", b"P2\n2 1\n255\n0 99999999999999999999999\n",
     b"P2\n2 1\n255\n-99999999999999999999999 1\n",
 ])
