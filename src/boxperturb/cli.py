@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import toyseg
-from .errors import BoxPerturbError, EmptyDataset, EmptyMask
+from .errors import BoxPerturbError, EmptyDataset, naming
 from .geometry import box_from_mask, coefficients_for
 from .metrics import dsc, nsd
 from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
@@ -78,7 +78,7 @@ def _parse_value(text: str, default):
 
 
 def read_run_config(path=None) -> RunConfig:
-    """Parse an INI-style `key = value` file; unknown keys are rejected.
+    """Parse an INI-style `key = value` file; unknown and repeated keys are rejected.
 
     Missing keys take the dataclass defaults; a missing path yields the
     pure defaults.  Each value is checked as its line is read, so an
@@ -100,6 +100,8 @@ def read_run_config(path=None) -> RunConfig:
             key = key.strip()
             if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: {key} is already set")
             try:
                 values[key] = _parse_value(value.strip(), defaults[key])
                 config = RunConfig.from_values(values)
@@ -139,10 +141,8 @@ def cmd_perturb(args) -> int:
         config = replace(config, train=replace(config.train, seed=args.seed))
     mask = data_mod.read_mask_pgm(args.mask)
     h, w = mask.shape
-    try:
+    with naming(args.mask):
         box = box_from_mask(mask)
-    except EmptyMask as e:
-        raise EmptyMask(f"{args.mask}: {e}") from None
     pcfg = config.train.perturb
     coeffs = coefficients_for(box, w, h, pcfg.theta_floor)
     offsets = compute_offsets(pcfg, coeffs)
@@ -364,6 +364,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (BoxPerturbError, OSError, RuntimeError) as e:  # before its base, ValueError
         message, code = f"{type(e).__name__}: {e}", 2
+    except MemoryError as e:  # numpy raises a private subclass; name the public class
+        message, code = f"MemoryError: {e}", 2
     except ValueError as e:  # a bad flag, config value, size or other value
         message, code = str(e), 1
     for path, stamp in outputs.items():  # remove only what this run created or changed

@@ -12,15 +12,13 @@ from __future__ import annotations
 import json
 import re
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (BadMagic, BoxPerturbError, EmptyDataset, InvalidWindow,
-                     MalformedHeader, MalformedManifest, SizeMismatch,
-                     TruncatedPayload, UnsupportedMaxval)
+from .errors import (DimensionMismatch, EmptyDataset, InvalidWindow, MalformedFile,
+                     naming)
 from .geometry import BoundingBox, box_from_mask
 from .metrics import count_within
 from .rng import make_rng
@@ -42,7 +40,7 @@ class SyntheticSample:
 
     def __post_init__(self):
         if self.image.shape != self.mask.shape:
-            raise SizeMismatch(f"image is {self.image.shape}, mask {self.mask.shape}")
+            raise DimensionMismatch(f"image is {self.image.shape}, mask {self.mask.shape}")
         object.__setattr__(self, "box", box_from_mask(self.mask))
 
 
@@ -217,35 +215,25 @@ def _read_pgm_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]
         match = _PGM_TOKEN.match(data, pos)
         token, pos = match[1], match.end()
         if not token:
-            raise MalformedHeader("unexpected end of PGM header")
+            raise MalformedFile("unexpected end of PGM header")
         try:
             tokens.append(int(token))
         except ValueError:
-            raise MalformedHeader(f"non-numeric PGM header token {token!r}")
+            raise MalformedFile(f"non-numeric PGM header token {token!r}")
     return tokens, pos
-
-
-@contextmanager
-def _reading(path):
-    """Yield the bytes of the file at path; a format error in the block names path."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        yield data
-    except BoxPerturbError as e:
-        raise type(e)(f"{path}: {e}") from None
 
 
 def read_mask_pgm(path) -> np.ndarray:
     """Read a P2/P5 PGM file as a mask (pixel > 0 is true); a format error names path."""
-    with _reading(path) as data:
+    data = Path(path).read_bytes()
+    with naming(path):
         if data[:2] not in (b"P2", b"P5"):
-            raise MalformedHeader(f"not a P2/P5 PGM file: magic {data[:2]!r}")
+            raise MalformedFile(f"not a P2/P5 PGM file: magic {data[:2]!r}")
         (width, height, maxval), pos = _read_pgm_tokens(data, 3, 2)
         if width < 1 or height < 1:
-            raise MalformedHeader(f"invalid PGM dimensions {width}x{height}")
+            raise MalformedFile(f"invalid PGM dimensions {width}x{height}")
         if maxval < 1 or maxval > 255:
-            raise UnsupportedMaxval(f"maxval {maxval} outside 1..255")
+            raise MalformedFile(f"maxval {maxval} outside 1..255")
         count = width * height
         if data[:2] == b"P2":
             values, _ = _read_pgm_tokens(data, count, pos)
@@ -254,12 +242,12 @@ def read_mask_pgm(path) -> np.ndarray:
         else:
             available = max(len(data) - (pos + 1), 0)
             if available < count:
-                raise TruncatedPayload(f"expected {count} pixel bytes, got {available}")
+                raise MalformedFile(f"expected {count} pixel bytes, got {available}")
             # A view of the payload in place; a uint8 byte can exceed only a maxval below 255.
             pixels = np.frombuffer(data, np.uint8, count=count, offset=pos + 1)
             out_of_range = maxval < 255 and pixels.max() > maxval
         if out_of_range:
-            raise MalformedHeader("pixel value outside 0..maxval")
+            raise MalformedFile("pixel value outside 0..maxval")
         return (pixels > 0).reshape(height, width)
 
 
@@ -279,15 +267,16 @@ F32G_MAGIC = b"F32G"
 
 def read_f32_grid(path) -> np.ndarray:
     """Read an F32G file as a float32 (height, width) grid; a format error names path."""
-    with _reading(path) as data:
+    data = Path(path).read_bytes()
+    with naming(path):
         if data[:4] != F32G_MAGIC:
-            raise BadMagic(f"bad magic {data[:4]!r}")
+            raise MalformedFile(f"bad magic {data[:4]!r}")
         if len(data) < 16:
-            raise SizeMismatch("truncated F32G header")
+            raise MalformedFile("truncated F32G header")
         width, height, _reserved = struct.unpack("<III", data[4:16])
         expected = width * height * 4
         if len(data) - 16 != expected:
-            raise SizeMismatch(
+            raise MalformedFile(
                 f"payload is {len(data) - 16} bytes, header implies {expected}")
         values = np.frombuffer(data[16:], dtype="<f4")
         return values.reshape(height, width).astype(np.float32)
@@ -336,45 +325,61 @@ def save_dataset(split: DatasetSplit, out_dir, suite: str, grid: int, seed: int)
         f.write("\n")
 
 
+def _manifest_splits(manifest) -> dict[str, list[dict]]:
+    """The sample entries of each split, once the whole manifest is checked."""
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("samples"), list)
+            and isinstance(manifest.get("splits"), dict)):
+        raise MalformedFile("needs a 'samples' list and a 'splits' object")
+    by_id = {}
+    for entry in manifest["samples"]:
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(key), str) for key in ("id", "image", "mask"))):
+            raise MalformedFile("each sample needs a string 'id', 'image' and 'mask'")
+        if entry["id"] in by_id:
+            raise MalformedFile(f"sample {entry['id']!r} is listed twice")
+        by_id[entry["id"]] = entry
+    splits, split_of = {}, {}
+    for name in ("train", "val", "test"):
+        ids = manifest["splits"].get(name, [])
+        if not isinstance(ids, list):
+            raise MalformedFile(f"split {name!r} is not a list of sample ids")
+        for sid in ids:
+            if not isinstance(sid, str) or sid not in by_id:
+                raise MalformedFile(f"split {name!r} names unknown sample {sid!r}")
+            if sid in split_of:
+                raise MalformedFile(
+                    f"split {name!r} names sample {sid!r}, already in split {split_of[sid]!r}")
+            split_of[sid] = name
+        splits[name] = [by_id[sid] for sid in ids]
+    return splits
+
+
 def load_dataset(data_dir) -> DatasetSplit:
-    """Load a dataset written by save_dataset."""
+    """Load a dataset written by save_dataset, checking its manifest before any file.
+
+    A sample that appears twice, in one split or in two, is rejected, so
+    no training image can leak into the test split.
+    """
     root = Path(data_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise EmptyDataset(f"no manifest.json in {root}")
-    try:
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-    except ValueError as e:  # bad JSON or bad text encoding
-        raise MalformedManifest(f"{manifest_path}: {e}") from None
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("samples"), list)
-            and isinstance(manifest.get("splits"), dict)):
-        raise MalformedManifest(
-            f"{manifest_path}: needs a 'samples' list and a 'splits' object")
-    by_id = {}
-    for entry in manifest["samples"]:
-        if not (isinstance(entry, dict) and {"id", "image", "mask"} <= entry.keys()
-                and isinstance(entry["id"], str)):
-            raise MalformedManifest(
-                f"{manifest_path}: each sample needs a string 'id', an 'image' and a 'mask'")
-        by_id[entry["id"]] = entry
+    with naming(manifest_path):
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as e:  # bad JSON or bad text encoding
+            raise MalformedFile(e) from None
+        entries = _manifest_splits(manifest)
     splits = {}
-    for name in ("train", "val", "test"):
+    for name, split_entries in entries.items():
         samples = []
-        for sid in manifest["splits"].get(name, []):
-            if not isinstance(sid, str) or sid not in by_id:
-                raise MalformedManifest(
-                    f"{manifest_path}: split {name!r} names unknown sample {sid!r}")
-            entry = by_id[sid]
+        for entry in split_entries:
             image = read_f32_grid(root / entry["image"]).astype(np.float64)
             mask = read_mask_pgm(root / entry["mask"])
-            try:  # a mask that does not fit its image, or is empty, is named
+            with naming(root / entry["mask"]):  # a mask that misfits its image, or is empty
                 samples.append(SyntheticSample(
                     image=image, mask=mask,
                     distractor_count=entry.get("distractor_count", 0),
                     target_area_fraction=entry.get("target_area_fraction", 0.0)))
-            except BoxPerturbError as e:
-                raise type(e)(f"{root / entry['mask']}: {e}") from None
         splits[name] = tuple(samples)
-    return DatasetSplit(train=splits["train"], val=splits["val"],
-                        test=splits["test"])
+    return DatasetSplit(**splits)

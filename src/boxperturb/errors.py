@@ -1,61 +1,53 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per failure condition.
+
+The class says what went wrong, whatever the file format or module;
+the message says where and by how much.  `naming(path)` is the one
+place that puts a file's path in front of a message.
+"""
+
+from contextlib import contextmanager
 
 
 class BoxPerturbError(ValueError):
     """Base class for all package errors."""
 
 
-class EmptyMask(BoxPerturbError):
-    pass
-
-
-class BoxOutOfBounds(BoxPerturbError):
-    pass
+class MalformedFile(BoxPerturbError):
+    """A file whose bytes do not follow its format: magic, header, size or values."""
 
 
 class DimensionMismatch(BoxPerturbError):
-    pass
+    """Arrays that must share a shape do not."""
 
 
-class EmptySource(BoxPerturbError):
-    pass
+class EmptyMask(BoxPerturbError):
+    """A mask with no foreground pixel where one is needed."""
+
+
+class BoxOutOfBounds(BoxPerturbError):
+    """A box that reaches outside its image."""
 
 
 class DomainError(BoxPerturbError):
-    pass
+    """A value outside the domain where a function is defined."""
 
 
 class NonFiniteGradient(BoxPerturbError):
-    pass
+    """A training step whose gradient is not finite."""
 
 
 class EmptyDataset(BoxPerturbError):
-    pass
+    """No samples where some are needed: a missing manifest, an empty split."""
 
 
 class InvalidWindow(BoxPerturbError):
-    pass
+    """An intensity window whose low end is not below its high end."""
 
 
-class MalformedManifest(BoxPerturbError):
-    pass
-
-
-class MalformedHeader(BoxPerturbError):
-    pass
-
-
-class TruncatedPayload(BoxPerturbError):
-    pass
-
-
-class UnsupportedMaxval(BoxPerturbError):
-    pass
-
-
-class BadMagic(BoxPerturbError):
-    pass
-
-
-class SizeMismatch(BoxPerturbError):
-    pass
+@contextmanager
+def naming(path):
+    """Re-raise a package error from the block with path in front of its message."""
+    try:
+        yield
+    except BoxPerturbError as e:
+        raise type(e)(f"{path}: {e}") from None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySource
+from .errors import DimensionMismatch, EmptyMask
 
 
 def _check_same_shape(g: np.ndarray, s: np.ndarray):
@@ -51,11 +51,11 @@ def distance_transform(source: np.ndarray) -> np.ndarray:
     largest squared distance found so far (no farther row can lower
     any).  Every squared distance is an exact integer in float64, so the
     transform matches brute force bit for bit.  Memory is a few (h, w)
-    arrays.  Raises EmptySource when source has no pixel.
+    arrays.  Raises EmptyMask when source has no pixel.
     """
     source = np.asarray(source, dtype=bool)
     if not source.any():
-        raise EmptySource("distance transform needs at least one source pixel")
+        raise EmptyMask("distance transform needs at least one source pixel")
     h, w = source.shape
     cols = np.arange(w, dtype=np.float64)
     # Squared distance to the nearest source column at or left of each

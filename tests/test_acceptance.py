@@ -51,7 +51,7 @@ def test_criterion_2_nsd_oracle_equivalence():
         g = random_mask((910, i), p=0.08)
         s = random_mask((911, i), p=0.08)
         assert nsd(g, s, 2.0) == brute_nsd(g, s, 2.0)
-    _report(2, "transform-based NSD equals brute-force pairwise NSD exactly "
+    _report(2, "range-query NSD (count_within) equals brute-force pairwise NSD exactly "
                "on 200 random 64x64 pairs at tau=2")
 
 

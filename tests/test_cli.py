@@ -55,6 +55,7 @@ def test_read_run_config_defaults_and_overrides(tmp_path):
     pytest.param("epochs = 2\nlr = 0\n", 2, id="zero-lr"),
     pytest.param("min_lr = -1\n", 1, id="negative-min-lr"),
     pytest.param("seed = -1\n", 1, id="negative-seed"),
+    pytest.param("seed = 1\nlr = 0.5\nseed = 2\n", 3, id="repeated-key"),
 ])
 def test_read_run_config_rejects_unknown_key(tmp_path, capsys, text, lineno):
     cfg = tmp_path / "bad.cfg"
@@ -336,13 +337,13 @@ def test_train_malformed_manifest_exit(tmp_path, capsys, manifest):
     assert run("train", "--data-dir", str(tmp_path), "--out", str(model),
                "--history", str(tmp_path / "h.csv")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("boxperturb: MalformedManifest: ")
+    assert err.startswith(f"boxperturb: MalformedFile: {tmp_path / 'manifest.json'}: ")
     assert err.count("\n") == 1
     assert not model.exists()
 
 
 @pytest.mark.parametrize("mask_shape, message", [
-    ((20, 20), "SizeMismatch: {path}: image is (32, 32), mask (20, 20)"),
+    ((20, 20), "DimensionMismatch: {path}: image is (32, 32), mask (20, 20)"),
     ((32, 32), "EmptyMask: {path}: cannot derive a box from an empty mask"),
 ], ids=["size-mismatch", "empty-mask"])
 def test_train_bad_sample_exit(tmp_path, capsys, monkeypatch, mask_shape, message):
@@ -362,9 +363,9 @@ def test_train_bad_sample_exit(tmp_path, capsys, monkeypatch, mask_shape, messag
 
 
 @pytest.mark.parametrize("name, content, message", [
-    ("img_0003.f32g", None, "SizeMismatch: {path}: payload is 84 bytes, header implies 4096"),
+    ("img_0003.f32g", None, "MalformedFile: {path}: payload is 84 bytes, header implies 4096"),
     ("mask_0002.pgm", b"P5\n32 x\n255",
-     "MalformedHeader: {path}: non-numeric PGM header token b'x'"),
+     "MalformedFile: {path}: non-numeric PGM header token b'x'"),
 ], ids=["truncated-image", "bad-mask-header"])
 def test_train_bad_file_exit(tmp_path, capsys, monkeypatch, name, content, message):
     data_dir = tmp_path / "ds"
@@ -394,11 +395,11 @@ def test_bad_input_file_exit(tmp_path, capsys, mask_file, argv):
         bad = tmp_path / "cut.f32g"
         data_mod.write_f32_grid(bad, np.zeros((32, 32), dtype=np.float32))
         bad.write_bytes(bad.read_bytes()[:40])
-        message = "SizeMismatch: {path}: payload is 24 bytes, header implies 4096"
+        message = "MalformedFile: {path}: payload is 24 bytes, header implies 4096"
     else:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n32 x\n255")
-        message = "MalformedHeader: {path}: non-numeric PGM header token b'x'"
+        message = "MalformedFile: {path}: non-numeric PGM header token b'x'"
     out = tmp_path / "out"
     argv = [a.format(bad=bad, mask=mask_file) for a in argv]
     assert run(*argv, "--out", str(out)) == 2
@@ -414,7 +415,7 @@ def test_eval_pixel_above_maxval_exit(tmp_path, capsys, mask_file):
     out = tmp_path / "out.json"
     assert run("eval", "--gt", str(over), "--pred", str(mask_file), "--out", str(out)) == 2
     assert capsys.readouterr().err == (
-        f"boxperturb: MalformedHeader: {over}: pixel value outside 0..maxval\n")
+        f"boxperturb: MalformedFile: {over}: pixel value outside 0..maxval\n")
     assert not out.exists()
 
 
@@ -536,6 +537,51 @@ def test_ablate_empty_test_split_exit(tmp_path, capsys, monkeypatch, suite):
     assert code == 2
     assert capsys.readouterr().err == f"boxperturb: EmptyDataset: {root / suite}: empty test split\n"
     assert not out.exists()
+
+
+def test_ablate_rejects_a_test_sample_that_is_also_a_training_sample(tmp_path, capsys,
+                                                                     monkeypatch):
+    root = tmp_path / "ds"
+    assert run("gen", "--suite", "standard", "--n", "10", "--grid", "48",
+               "--seed", "4", "--out-dir", str(root / "standard")) == 0
+    assert run("gen", "--suite", "tiny", "--n", "10", "--grid", "64",
+               "--seed", "5", "--out-dir", str(root / "tiny")) == 0
+    manifest_path = root / "tiny" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["splits"]["test"].append(manifest["splits"]["train"][0])
+    manifest_path.write_text(json.dumps(manifest))
+    out = tmp_path / "ablation.csv"
+    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
+    capsys.readouterr()
+    assert run("ablate", "--data-dir", str(root), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"boxperturb: MalformedFile: {manifest_path}: "
+        f"split 'test' names sample '0000', already in split 'train'\n")
+    assert not out.exists()
+
+
+class _ArrayMemoryError(MemoryError):
+    """A private subclass, as numpy raises when an allocation fails."""
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (["gen", "--n", "10", "--grid", "100000", "--out-dir", "{tmp}/big"], "gen_synthetic"),
+    (["preprocess", "--in", "{tmp}/x.f32g", "--window", "0", "1",
+      "--resize", "100000", "100000", "--out", "{tmp}/y.f32g"], "resample_bilinear"),
+], ids=["gen", "preprocess-resize"])
+def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, failing):
+    # Nothing is allocated for real: under memory overcommit a huge allocation
+    # can succeed, and the process is then killed when it touches the pages.
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def fail(*args, **kwargs):
+        raise _ArrayMemoryError(message)
+
+    monkeypatch.setattr(data_mod, failing, fail)
+    data_mod.write_f32_grid(tmp_path / "x.f32g", np.zeros((2, 2), dtype=np.float32))
+    assert run(*[a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err == f"boxperturb: MemoryError: {message}\n"
+    assert not (tmp_path / "big").exists() and not (tmp_path / "y.f32g").exists()
 
 
 @pytest.mark.parametrize("threshold", ["nan", "-1", "2", "0"])

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -5,9 +6,8 @@ import numpy as np
 import pytest
 
 from boxperturb import data as data_mod
-from boxperturb.errors import (BadMagic, EmptyMask, InvalidWindow,
-                               MalformedHeader, SizeMismatch, TruncatedPayload,
-                               UnsupportedMaxval)
+from boxperturb.errors import (DimensionMismatch, EmptyMask, InvalidWindow,
+                               MalformedFile)
 from boxperturb.geometry import box_from_mask
 from boxperturb.metrics import count_within
 from boxperturb.rng import make_rng
@@ -54,9 +54,9 @@ def test_generated_samples_carry_their_mask_box(suite, grid):
 
 
 def test_sample_rejects_size_mismatch_and_empty_mask():
-    with pytest.raises(SizeMismatch, match=r"image is \(4, 5\), mask \(5, 4\)"):
+    with pytest.raises(DimensionMismatch, match=r"image is \(4, 5\), mask \(5, 4\)"):
         data_mod.SyntheticSample(np.zeros((4, 5)), np.ones((5, 4), dtype=bool), 0, 1.0)
-    with pytest.raises(EmptyMask):
+    with pytest.raises(EmptyMask, match="empty mask"):
         data_mod.SyntheticSample(np.zeros((4, 5)), np.zeros((4, 5), dtype=bool), 0, 0.0)
 
 
@@ -245,25 +245,26 @@ def test_pgm_p2_comment_ends_or_splits_a_token(tmp_path, content, message):
     # end of the data leaves the header incomplete.
     path = tmp_path / "a.pgm"
     path.write_bytes(content)
-    with pytest.raises(MalformedHeader, match=re.escape(message)):
+    with pytest.raises(MalformedFile, match=re.escape(message)):
         data_mod.read_mask_pgm(path)
 
 
 def test_pgm_unsupported_maxval(tmp_path):
     path = tmp_path / "wide.pgm"
     path.write_text("P2\n2 1\n65535\n0 65535\n")
-    with pytest.raises(UnsupportedMaxval):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}: maxval 65535 outside 1..255")):
         data_mod.read_mask_pgm(path)
 
 
 def test_pgm_malformed_and_truncated(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P7\n2 2\n255\n\x00\x00\x00\x00")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedFile,
+                       match=re.escape(f"{bad}: not a P2/P5 PGM file: magic b'P7'")):
         data_mod.read_mask_pgm(bad)
     short = tmp_path / "short.pgm"
     short.write_bytes(b"P5\n4 4\n255\n\x00\x01")
-    with pytest.raises(TruncatedPayload):
+    with pytest.raises(MalformedFile, match=re.escape(f"{short}: expected 16 pixel bytes, got 2")):
         data_mod.read_mask_pgm(short)
 
 
@@ -274,7 +275,7 @@ def test_pgm_malformed_and_truncated(tmp_path):
 def test_pgm_truncated_payload_names_both_counts(tmp_path, content, got):
     path = tmp_path / "short.pgm"
     path.write_bytes(content)
-    with pytest.raises(TruncatedPayload,
+    with pytest.raises(MalformedFile,
                        match=re.escape(f"{path}: expected 16 pixel bytes, got {got}")):
         data_mod.read_mask_pgm(path)
 
@@ -303,7 +304,7 @@ def test_pgm_p5_reads_exactly_width_times_height_bytes(tmp_path):
 def test_pgm_pixel_outside_maxval(tmp_path, content):
     path = tmp_path / "over.pgm"
     path.write_bytes(content)
-    with pytest.raises(MalformedHeader, match="outside 0..maxval"):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}: pixel value outside 0..maxval")):
         data_mod.read_mask_pgm(path)
 
 
@@ -334,12 +335,13 @@ def test_f32g_single_value_layout(tmp_path):
 def test_f32g_bad_magic_and_size(tmp_path):
     bad = tmp_path / "bad.f32g"
     bad.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(BadMagic):
+    with pytest.raises(MalformedFile, match=re.escape(f"{bad}: bad magic b'NOPE'")):
         data_mod.read_f32_grid(bad)
     mismatch = tmp_path / "mismatch.f32g"
     import struct
     mismatch.write_bytes(b"F32G" + struct.pack("<III", 3, 3, 0) + b"\x00" * 8)
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(MalformedFile,
+                       match=re.escape(f"{mismatch}: payload is 8 bytes, header implies 36")):
         data_mod.read_f32_grid(mismatch)
 
 
@@ -351,3 +353,29 @@ def test_dataset_save_load_round_trip(tmp_path):
     for a, b in zip(split.all_samples, loaded.all_samples):
         assert (a.mask == b.mask).all()
         assert np.allclose(a.image, b.image, atol=1e-7)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda m: m["samples"][0].update(image=5),
+     "each sample needs a string 'id', 'image' and 'mask'"),
+    (lambda m: m["samples"][3].update(mask=["mask_0003.pgm"]),
+     "each sample needs a string 'id', 'image' and 'mask'"),
+    (lambda m: m["samples"].append(dict(m["samples"][2])), "sample '0002' is listed twice"),
+    (lambda m: m["splits"]["test"].append("0000"),
+     "split 'test' names sample '0000', already in split 'train'"),
+    (lambda m: m["splits"]["train"].append("0001"),
+     "split 'train' names sample '0001', already in split 'train'"),
+    (lambda m: m["splits"].update(test="0000"), "split 'test' is not a list of sample ids"),
+], ids=["image-not-a-string", "mask-not-a-string", "id-twice-in-samples",
+        "train-id-in-test", "id-twice-in-a-split", "split-is-a-string"])
+def test_load_dataset_checks_the_whole_manifest_first(tmp_path, monkeypatch, change, message):
+    data_mod.save_dataset(data_mod.gen_synthetic(10, "standard", grid=32, seed=8),
+                          tmp_path, "standard", 32, 8)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+    for reader in ("read_f32_grid", "read_mask_pgm"):
+        monkeypatch.setattr(data_mod, reader, lambda p: pytest.fail(f"{p} was read"))
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}: {message}")):
+        data_mod.load_dataset(tmp_path)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boxperturb.errors import DimensionMismatch, EmptySource
+from boxperturb.errors import DimensionMismatch, EmptyMask
 from boxperturb.metrics import boundary, count_within, distance_transform, dsc, nsd
 from boxperturb.rng import make_rng
 
@@ -42,7 +42,7 @@ def test_dsc_both_empty_convention():
 
 
 def test_dsc_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"mask shapes differ: \(3, 3\) vs \(4, 4\)"):
         dsc(np.zeros((3, 3), dtype=bool), np.zeros((4, 4), dtype=bool))
 
 
@@ -102,7 +102,7 @@ def test_distance_transform_all_sources_zero():
 
 
 def test_distance_transform_empty_source():
-    with pytest.raises(EmptySource):
+    with pytest.raises(EmptyMask, match="needs at least one source pixel"):
         distance_transform(np.zeros((4, 4), dtype=bool))
 
 
