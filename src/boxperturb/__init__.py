@@ -6,9 +6,7 @@ family, and a toy prompt-conditioned segmenter trained on synthetic
 data to compare perturbation strategies end to end.
 """
 
-from .geometry import (BoundingBox, Coefficients, box_from_mask,
-                       coefficients_for, scale_coefficient_xi,
-                       similarity_coefficient_theta)
+from .geometry import BoundingBox, Coefficients, box_from_mask, coefficients_for
 from .loss import LossReport, bce, combined_loss, dice_loss, loss_gradient
 from .metrics import boundary, distance_transform, dsc, nsd
 from .perturb import (OffsetQuad, PerturbationConfig, PerturbedBox,
@@ -20,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox", "Coefficients", "box_from_mask", "coefficients_for",
-    "scale_coefficient_xi", "similarity_coefficient_theta",
     "LossReport", "bce", "combined_loss", "dice_loss", "loss_gradient",
     "boundary", "distance_transform", "dsc", "nsd",
     "OffsetQuad", "PerturbationConfig", "PerturbedBox", "compute_offsets",

@@ -23,7 +23,8 @@ from . import toyseg
 from .errors import BoxPerturbError, EmptyDataset, naming
 from .geometry import box_from_mask, coefficients_for
 from .metrics import dsc, nsd
-from .perturb import PerturbationConfig, compute_offsets, sample_perturbed_box
+from .perturb import (PerturbationConfig, PerturbationStats, compute_offsets,
+                      sample_perturbed_box)
 from .rng import make_rng
 
 SCHEMA_VERSION = 1
@@ -147,21 +148,18 @@ def cmd_perturb(args) -> int:
     coeffs = coefficients_for(box, w, h, pcfg.theta_floor)
     offsets = compute_offsets(pcfg, coeffs)
 
-    rows = []
-    for i in range(args.n):
-        p = sample_perturbed_box(box, offsets, w, h, pcfg,
-                                 make_rng(config.train.seed, i))
-        rows.append((i, p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max,
-                     offsets.eps1, offsets.eps2, offsets.delta1, offsets.delta2,
-                     p.resample_count))
+    draws = [sample_perturbed_box(box, offsets, w, h, pcfg, make_rng(config.train.seed, i))
+             for i in range(args.n)]
+    rows = [(i, p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max,
+             offsets.eps1, offsets.eps2, offsets.delta1, offsets.delta2, p.resample_count)
+            for i, p in enumerate(draws)]
 
     end_notes = []
     if args.stats:
-        widths = [r[3] - r[1] for r in rows]
-        heights = [r[4] - r[2] for r in rows]
-        end_notes.append(f"stats: mean_width = {_fmt(np.mean(widths))}, "
-                         f"mean_height = {_fmt(np.mean(heights))}, "
-                         f"mean_aspect = {_fmt(np.mean(widths) / np.mean(heights))}")
+        stats = PerturbationStats.of(draws)
+        end_notes.append(f"stats: mean_width = {_fmt(stats.mean_width)}, "
+                         f"mean_height = {_fmt(stats.mean_height)}, "
+                         f"mean_aspect = {_fmt(stats.mean_width / stats.mean_height)}")
     _write_csv(args.out, config,
                "draw,x_min,y_min,x_max,y_max,eps1,eps2,delta1,delta2,resamples".split(","),
                rows, end_notes=end_notes)
@@ -203,13 +201,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-# (row name, scale_by_target, bidirectional): the 2x2 factorial of theta/xi
-# scaling and shrink+expand versus expand-only (eps_shrink = 0) draws.
+# (row name, overrides of the configured perturbation): the 2x2 factorial of
+# theta/xi scaling and shrink+expand versus expand-only (eps_shrink = 0) draws.
 ABLATION_ROWS = (
-    ("baseline", False, False),
-    ("+theta_xi", True, False),
-    ("+bidirectional", False, True),
-    ("full", True, True),
+    ("baseline", {"scale_by_target": False, "eps_shrink": 0.0}),
+    ("+theta_xi", {"scale_by_target": True, "eps_shrink": 0.0}),
+    ("+bidirectional", {"scale_by_target": False}),
+    ("full", {"scale_by_target": True}),
 )
 
 
@@ -221,12 +219,9 @@ def run_ablation(standard_split, tiny_split, config: RunConfig,
     train-time perturbation.
     """
     frac, tau = config.prompt_frac, config.tau
-    perturb = config.train.perturb
     results = []
-    for row_name, scale_by_target, bidirectional in ABLATION_ROWS:
-        cfg = replace(config.train, perturb=replace(
-            perturb, scale_by_target=scale_by_target,
-            eps_shrink=perturb.eps_shrink if bidirectional else 0.0))
+    for row_name, overrides in ABLATION_ROWS:
+        cfg = replace(config.train, perturb=replace(config.train.perturb, **overrides))
         row = {"config": row_name}
         model_std, _ = toyseg.train(standard_split, cfg)
         for mode, grow in (("standard", 0.0), ("expand", frac), ("shrink", -frac)):

@@ -10,6 +10,7 @@ within a few pixels, exercising the small-target failure mode.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyDataset, InvalidWindow, MalformedFile,
-                     naming)
+from .errors import (DimensionMismatch, DomainError, EmptyDataset, InvalidWindow,
+                     MalformedFile, naming)
 from .geometry import BoundingBox, box_from_mask
 from .metrics import count_within
 from .rng import make_rng
@@ -176,8 +177,8 @@ def gen_synthetic(n: int, suite: str = "standard", grid: int = 128,
 
 def window_normalize(raw: np.ndarray, w_lo: float, w_hi: float) -> np.ndarray:
     """Window an HU grid to [w_lo, w_hi] and min-max normalize into [0, 1]."""
-    if not w_lo < w_hi:
-        raise InvalidWindow(f"window requires w_lo < w_hi, got ({w_lo}, {w_hi})")
+    if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo < w_hi):
+        raise InvalidWindow(f"window requires finite w_lo < w_hi, got ({w_lo}, {w_hi})")
     raw = np.asarray(raw, dtype=np.float64)
     return np.clip((raw - w_lo) / (w_hi - w_lo), 0.0, 1.0)
 
@@ -274,6 +275,8 @@ def read_f32_grid(path) -> np.ndarray:
         if len(data) < 16:
             raise MalformedFile("truncated F32G header")
         width, height, _reserved = struct.unpack("<III", data[4:16])
+        if width < 1 or height < 1:
+            raise MalformedFile(f"invalid F32G dimensions {width}x{height}")
         expected = width * height * 4
         if len(data) - 16 != expected:
             raise MalformedFile(
@@ -375,6 +378,9 @@ def load_dataset(data_dir) -> DatasetSplit:
         samples = []
         for entry in split_entries:
             image = read_f32_grid(root / entry["image"]).astype(np.float64)
+            with naming(root / entry["image"]):
+                if not np.isfinite(image).all():
+                    raise DomainError("image holds a non-finite pixel")
             mask = read_mask_pgm(root / entry["mask"])
             with naming(root / entry["mask"]):  # a mask that misfits its image, or is empty
                 samples.append(SyntheticSample(

@@ -41,7 +41,7 @@ class EmptyDataset(BoxPerturbError):
 
 
 class InvalidWindow(BoxPerturbError):
-    """An intensity window whose low end is not below its high end."""
+    """An intensity window with a non-finite end, or a low end not below its high end."""
 
 
 @contextmanager

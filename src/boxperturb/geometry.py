@@ -86,17 +86,13 @@ def box_from_mask(mask: np.ndarray) -> BoundingBox:
                        x_max=float(cols.max() + 1), y_max=float(rows.max() + 1))
 
 
-def scale_coefficient_xi(box: BoundingBox) -> float:
-    """Aspect ratio width/height of the box."""
-    return box.width / box.height
+def coefficients_for(box: BoundingBox, image_w: int, image_h: int,
+                     theta_floor: float = 0.01) -> Coefficients:
+    """Both perturbation coefficients of a box inside its image.
 
-
-def similarity_coefficient_theta(box: BoundingBox, image_w: int, image_h: int,
-                                 theta_floor: float = 0.01) -> float:
-    """Relative linear scale of the box within the image.
-
-    sqrt(box area / image area), clamped to [theta_floor, 1].  Damps
-    perturbation offsets for small targets.
+    theta_omega is the relative linear scale sqrt(box area / image
+    area), clamped to [theta_floor, 1], which damps the offsets for
+    small targets; xi is the aspect ratio width / height.
     """
     if not (0.0 < theta_floor <= 1.0):
         raise ValueError(f"theta_floor must be in (0, 1], got {theta_floor}")
@@ -105,12 +101,5 @@ def similarity_coefficient_theta(box: BoundingBox, image_w: int, image_h: int,
             f"box ({box.x_min}, {box.y_min}, {box.x_max}, {box.y_max}) "
             f"exceeds image extent {image_w}x{image_h}")
     ratio = math.sqrt(box.area / (image_w * image_h))
-    return min(1.0, max(theta_floor, ratio))
-
-
-def coefficients_for(box: BoundingBox, image_w: int, image_h: int,
-                     theta_floor: float = 0.01) -> Coefficients:
-    """Both perturbation coefficients of a box in one call."""
-    return Coefficients(
-        theta_omega=similarity_coefficient_theta(box, image_w, image_h, theta_floor),
-        xi=scale_coefficient_xi(box))
+    return Coefficients(theta_omega=min(1.0, max(theta_floor, ratio)),
+                        xi=box.width / box.height)

@@ -11,6 +11,7 @@ the shrink magnitude".
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,6 @@ def compute_offsets(config: PerturbationConfig, coeffs: Coefficients) -> OffsetQ
     return OffsetQuad(eps1=eps1, eps2=eps1 / xi, delta1=delta1, delta2=delta1 / xi)
 
 
-def _draw_edge(rng: np.random.Generator, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return lo
-    return float(rng.uniform(lo, hi))
-
-
 def sample_perturbed_box(box: BoundingBox, offsets: OffsetQuad,
                          image_w: int, image_h: int,
                          config: PerturbationConfig,
@@ -106,10 +101,10 @@ def sample_perturbed_box(box: BoundingBox, offsets: OffsetQuad,
     e_y, d_y = abs(offsets.eps2), offsets.delta2
 
     for attempt in range(config.max_resample + 1):
-        x_min = _draw_edge(rng, box.x_min - d_x, box.x_min + e_x)
-        x_max = _draw_edge(rng, box.x_max - e_x, box.x_max + d_x)
-        y_min = _draw_edge(rng, box.y_min - d_y, box.y_min + e_y)
-        y_max = _draw_edge(rng, box.y_max - e_y, box.y_max + d_y)
+        x_min = float(rng.uniform(box.x_min - d_x, box.x_min + e_x))
+        x_max = float(rng.uniform(box.x_max - e_x, box.x_max + d_x))
+        y_min = float(rng.uniform(box.y_min - d_y, box.y_min + e_y))
+        y_max = float(rng.uniform(box.y_max - e_y, box.y_max + d_y))
         draws = (x_min, x_max, y_min, y_max)
         x_min_c = min(max(x_min, 0.0), float(image_w))
         x_max_c = min(max(x_max, 0.0), float(image_w))
@@ -142,42 +137,30 @@ def sample_baseline_box(box: BoundingBox, max_shift: float,
 
 @dataclass(frozen=True)
 class PerturbationStats:
-    """Empirical summary over n perturbation draws."""
+    """Summary of drawn boxes: their mean width and height, and the share resampled."""
 
     n: int
     mean_width: float
     mean_height: float
     resample_rate: float
 
+    @classmethod
+    def of(cls, draws: Iterable[PerturbedBox]) -> "PerturbationStats":
+        """Summarize draws, reading them one at a time; no draws is a ValueError."""
+        table = np.fromiter(((p.box.width, p.box.height, p.resample_count > 0)
+                             for p in draws), dtype=(float, 3))
+        n = len(table)
+        if n == 0:
+            raise ValueError("no draws to summarize")
+        widths, heights, resampled = table.T.copy()
+        return cls(n=n, mean_width=float(widths.mean()), mean_height=float(heights.mean()),
+                   resample_rate=float(resampled.sum()) / n)
+
 
 def perturbation_stats(box: BoundingBox, config: PerturbationConfig,
-                       coeffs: Coefficients, n: int,
-                       rng: np.random.Generator,
-                       image_w: int | None = None,
-                       image_h: int | None = None) -> PerturbationStats:
-    """Monte-Carlo summary of the perturbation distribution for one box.
-
-    Without an explicit image extent, a generous extent is used so that
-    clamping never binds and the expectation algebra is visible.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if image_w is None:
-        image_w = int(box.x_max + abs(config.eps_shrink_min) + config.delta_expand_max + 1)
-    if image_h is None:
-        image_h = int(box.y_max + abs(config.eps_shrink_min) + config.delta_expand_max + 1)
+                       coeffs: Coefficients, n: int, rng: np.random.Generator,
+                       image_w: int, image_h: int) -> PerturbationStats:
+    """Monte-Carlo summary of n draws around one box in an image_w x image_h image."""
     offsets = compute_offsets(config, coeffs)
-    widths = np.empty(n)
-    heights = np.empty(n)
-    resampled = 0
-    for i in range(n):
-        p = sample_perturbed_box(box, offsets, image_w, image_h, config, rng)
-        widths[i] = p.box.width
-        heights[i] = p.box.height
-        if p.resample_count > 0:
-            resampled += 1
-    return PerturbationStats(
-        n=n,
-        mean_width=float(widths.mean()),
-        mean_height=float(heights.mean()),
-        resample_rate=resampled / n)
+    return PerturbationStats.of(
+        sample_perturbed_box(box, offsets, image_w, image_h, config, rng) for _ in range(n))

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import warnings
 from pathlib import Path
 
@@ -389,9 +390,14 @@ def test_train_bad_file_exit(tmp_path, capsys, monkeypatch, name, content, messa
     ["eval", "--gt", "{mask}", "--pred", "{bad}"],
     ["perturb", "--mask", "{bad}"],
     ["preprocess", "--in", "{bad}", "--window", "0", "1"],
-], ids=["eval-gt", "eval-pred", "perturb-mask", "preprocess-in"])
+    ["preprocess", "--in", "{bad}", "--window", "0", "1", "--resize", "4", "4"],
+], ids=["eval-gt", "eval-pred", "perturb-mask", "preprocess-in", "preprocess-zero-size"])
 def test_bad_input_file_exit(tmp_path, capsys, mask_file, argv):
-    if argv[0] == "preprocess":  # an F32G grid cut to 40 bytes
+    if "--resize" in argv:  # a 0x5 F32G grid: a header with no pixels
+        bad = tmp_path / "zero.f32g"
+        bad.write_bytes(b"F32G" + struct.pack("<III", 0, 5, 0))
+        message = "MalformedFile: {path}: invalid F32G dimensions 0x5"
+    elif argv[0] == "preprocess":  # an F32G grid cut to 40 bytes
         bad = tmp_path / "cut.f32g"
         data_mod.write_f32_grid(bad, np.zeros((32, 32), dtype=np.float32))
         bad.write_bytes(bad.read_bytes()[:40])
@@ -407,6 +413,26 @@ def test_bad_input_file_exit(tmp_path, capsys, mask_file, argv):
     assert err == f"boxperturb: {message.format(path=bad)}\n"
     assert err.count(str(bad)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("split, value", [("train", np.inf), ("val", np.nan)])
+def test_train_non_finite_image_exit(tmp_path, capsys, monkeypatch, split, value):
+    data_dir = tmp_path / "ds"
+    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
+               "--out-dir", str(data_dir)) == 0
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    path = data_dir / f"img_{manifest['splits'][split][0]}.f32g"
+    image = data_mod.read_f32_grid(path)
+    image[7, 2] = value
+    data_mod.write_f32_grid(path, image)
+    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
+    capsys.readouterr()
+    model, hist = tmp_path / "m.json", tmp_path / "h.csv"
+    assert run("train", "--data-dir", str(data_dir), "--out", str(model),
+               "--history", str(hist)) == 2
+    assert capsys.readouterr().err == (
+        f"boxperturb: DomainError: {path}: image holds a non-finite pixel\n")
+    assert not model.exists() and not hist.exists()
 
 
 def test_eval_pixel_above_maxval_exit(tmp_path, capsys, mask_file):
@@ -496,6 +522,28 @@ def test_ablate_schema(tmp_path):
         for key in ("dsc_standard", "nsd_standard", "dsc_expand", "nsd_expand",
                     "dsc_shrink", "nsd_shrink", "error_rate"):
             assert 0.0 <= float(values[key]) <= 1.0
+
+
+def test_ablate_rows_override_the_configured_perturbation(tmp_path, monkeypatch):
+    root = tmp_path / "ds"
+    assert run("gen", "--suite", "standard", "--n", "10", "--grid", "48",
+               "--seed", "4", "--out-dir", str(root / "standard")) == 0
+    assert run("gen", "--suite", "tiny", "--n", "10", "--grid", "64",
+               "--seed", "5", "--out-dir", str(root / "tiny")) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps_shrink = -7\nscale_by_target = false\n")
+    fits = []
+
+    def record(split, train_cfg):
+        fits.append((train_cfg.perturb.scale_by_target, train_cfg.perturb.eps_shrink))
+        return toyseg.ToyModel(), []
+
+    monkeypatch.setattr(toyseg, "train", record)
+    assert run("ablate", "--data-dir", str(root), "--config", str(cfg),
+               "--out", str(tmp_path / "ablation.csv")) == 0
+    # Each row fits the standard suite, then the tiny one.
+    assert fits == ([(False, 0.0)] * 2 + [(True, 0.0)] * 2
+                    + [(False, -7.0)] * 2 + [(True, -7.0)] * 2)
 
 
 def test_ablate_missing_suite_exit(tmp_path, capsys):
@@ -622,13 +670,16 @@ def test_preprocess_lung_window_and_resize(tmp_path):
     assert grid.min() >= 0.0 and grid.max() <= 1.0
 
 
-def test_preprocess_invalid_window_exit(tmp_path):
+def test_preprocess_invalid_window_exit(tmp_path, capsys):
     src = tmp_path / "raw.f32g"
     data_mod.write_f32_grid(src, np.zeros((2, 2), dtype=np.float32))
     out = tmp_path / "norm.f32g"
-    assert run("preprocess", "--in", str(src), "--window", "440", "-360",
-               "--out", str(out)) == 2
-    assert not out.exists()
+    for window in (["440", "-360"], ["0", "inf"]):
+        assert run("preprocess", "--in", str(src), "--window", *window,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("boxperturb: InvalidWindow: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_usage_error_exit_code():

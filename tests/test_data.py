@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boxperturb import data as data_mod
-from boxperturb.errors import (DimensionMismatch, EmptyMask, InvalidWindow,
+from boxperturb.errors import (DimensionMismatch, DomainError, EmptyMask, InvalidWindow,
                                MalformedFile)
 from boxperturb.geometry import box_from_mask
 from boxperturb.metrics import count_within
@@ -148,6 +148,9 @@ def test_window_normalize_clamps_and_monotone():
 def test_window_invalid():
     with pytest.raises(InvalidWindow):
         data_mod.window_normalize(np.zeros((2, 2)), 100.0, 100.0)
+    for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)):
+        with pytest.raises(InvalidWindow, match="finite"):
+            data_mod.window_normalize(np.zeros((2, 2)), lo, hi)
 
 
 def test_resample_identity():
@@ -343,6 +346,12 @@ def test_f32g_bad_magic_and_size(tmp_path):
     with pytest.raises(MalformedFile,
                        match=re.escape(f"{mismatch}: payload is 8 bytes, header implies 36")):
         data_mod.read_f32_grid(mismatch)
+    for width, height in ((0, 5), (5, 0)):  # no pixels, so no payload to mismatch
+        empty = tmp_path / f"empty_{width}x{height}.f32g"
+        empty.write_bytes(b"F32G" + struct.pack("<III", width, height, 0))
+        with pytest.raises(MalformedFile,
+                           match=re.escape(f"{empty}: invalid F32G dimensions {width}x{height}")):
+            data_mod.read_f32_grid(empty)
 
 
 def test_dataset_save_load_round_trip(tmp_path):
@@ -353,6 +362,19 @@ def test_dataset_save_load_round_trip(tmp_path):
     for a, b in zip(split.all_samples, loaded.all_samples):
         assert (a.mask == b.mask).all()
         assert np.allclose(a.image, b.image, atol=1e-7)
+
+
+@pytest.mark.parametrize("split, value", [("train", np.inf), ("val", np.nan)])
+def test_load_dataset_rejects_a_non_finite_image(tmp_path, split, value):
+    data_mod.save_dataset(data_mod.gen_synthetic(10, "standard", grid=32, seed=8),
+                          tmp_path, "standard", 32, 8)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    path = tmp_path / f"img_{manifest['splits'][split][0]}.f32g"
+    image = data_mod.read_f32_grid(path)
+    image[3, 5] = value
+    data_mod.write_f32_grid(path, image)
+    with pytest.raises(DomainError, match=re.escape(f"{path}: image holds a non-finite pixel")):
+        data_mod.load_dataset(tmp_path)
 
 
 @pytest.mark.parametrize("change, message", [

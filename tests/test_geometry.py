@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from boxperturb.errors import BoxOutOfBounds, EmptyMask
-from boxperturb.geometry import (BoundingBox, box_from_mask,
-                                 scale_coefficient_xi,
-                                 similarity_coefficient_theta)
+from boxperturb.geometry import BoundingBox, box_from_mask, coefficients_for
 from boxperturb.rng import make_rng
 
 
@@ -55,10 +53,14 @@ def test_degenerate_box_rejected():
         BoundingBox(5, 5, 5, 8)
 
 
+def xi(box):
+    return coefficients_for(box, 1000, 1000).xi
+
+
 def test_xi_hand_values():
-    assert scale_coefficient_xi(BoundingBox(0, 0, 200, 100)) == 2.0
-    assert scale_coefficient_xi(BoundingBox(3, 3, 8, 8)) == 1.0
-    assert scale_coefficient_xi(BoundingBox(0, 0, 50, 200)) == 0.25
+    assert xi(BoundingBox(0, 0, 200, 100)) == 2.0
+    assert xi(BoundingBox(3, 3, 8, 8)) == 1.0
+    assert xi(BoundingBox(0, 0, 50, 200)) == 0.25
 
 
 def test_xi_transpose_product_is_one():
@@ -66,39 +68,37 @@ def test_xi_transpose_product_is_one():
     for w, h in ((200, 100), (64, 16), (3, 96), (40, 5)):
         box = BoundingBox(0, 0, w, h)
         transposed = BoundingBox(0, 0, h, w)
-        assert scale_coefficient_xi(box) * scale_coefficient_xi(transposed) == 1.0
+        assert xi(box) * xi(transposed) == 1.0
     rng = make_rng(101)
     for _ in range(100):
         w, h = rng.uniform(0.5, 300, size=2)
-        product = (scale_coefficient_xi(BoundingBox(0, 0, w, h))
-                   * scale_coefficient_xi(BoundingBox(0, 0, h, w)))
+        product = xi(BoundingBox(0, 0, w, h)) * xi(BoundingBox(0, 0, h, w))
         assert product == pytest.approx(1.0, rel=2 ** -50)
 
 
 def test_theta_hand_values():
-    assert similarity_coefficient_theta(BoundingBox(0, 0, 50, 50), 50, 50) == 1.0
-    assert similarity_coefficient_theta(
-        BoundingBox(0, 0, 100, 100), 1000, 1000) == pytest.approx(0.1)
-    assert similarity_coefficient_theta(
-        BoundingBox(0, 0, 1, 1), 1024, 1024, theta_floor=0.01) == 0.01
+    assert coefficients_for(BoundingBox(0, 0, 50, 50), 50, 50).theta_omega == 1.0
+    assert coefficients_for(
+        BoundingBox(0, 0, 100, 100), 1000, 1000).theta_omega == pytest.approx(0.1)
+    assert coefficients_for(
+        BoundingBox(0, 0, 1, 1), 1024, 1024, theta_floor=0.01).theta_omega == 0.01
 
 
 def test_theta_out_of_bounds_box():
     with pytest.raises(BoxOutOfBounds):
-        similarity_coefficient_theta(BoundingBox(0, 0, 60, 40), 50, 50)
+        coefficients_for(BoundingBox(0, 0, 60, 40), 50, 50)
 
 
 def test_theta_monotone_in_area_and_bounded():
     prev = 0.0
     for side in range(2, 101, 7):
-        theta = similarity_coefficient_theta(
-            BoundingBox(0, 0, side, side), 100, 100)
+        theta = coefficients_for(BoundingBox(0, 0, side, side), 100, 100).theta_omega
         assert 0.01 <= theta <= 1.0
         assert theta >= prev
         prev = theta
 
 
 def test_theta_scale_invariance():
-    a = similarity_coefficient_theta(BoundingBox(0, 0, 30, 20), 100, 80)
-    b = similarity_coefficient_theta(BoundingBox(0, 0, 90, 60), 300, 240)
+    a = coefficients_for(BoundingBox(0, 0, 30, 20), 100, 80).theta_omega
+    b = coefficients_for(BoundingBox(0, 0, 90, 60), 300, 240).theta_omega
     assert a == pytest.approx(b, rel=1e-12)

@@ -150,7 +150,8 @@ def test_adaptive_seeded_determinism():
 def test_stats_zero_perturbation_exact_width():
     box = BoundingBox(10, 10, 50, 35)
     cfg = PerturbationConfig(eps_shrink=0.0, delta_expand=0.0)
-    stats = perturbation_stats(box, cfg, Coefficients(0.5, 1.6), 100, make_rng(207))
+    stats = perturbation_stats(box, cfg, Coefficients(0.5, 1.6), 100, make_rng(207),
+                               image_w=64, image_h=64)
     assert stats.mean_width == box.width
     assert stats.mean_height == box.height
     assert stats.resample_rate == 0.0
