@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import toyseg
-from .errors import BoxPerturbError, EmptyDataset, naming
+from .errors import BoxPerturbError, DimensionMismatch, EmptyDataset, naming
 from .geometry import box_from_mask, coefficients_for
 from .metrics import dsc, nsd
 from .perturb import (PerturbationConfig, PerturbationStats, compute_offsets,
@@ -171,6 +171,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--tau must be >= 0, got {args.tau}")
     gt = data_mod.read_mask_pgm(args.gt)
     pred = data_mod.read_mask_pgm(args.pred)
+    if gt.shape != pred.shape:
+        (gh, gw), (ph, pw) = gt.shape, pred.shape
+        raise DimensionMismatch(
+            f"mask sizes differ: {args.gt} is {gw}x{gh}, {args.pred} is {pw}x{ph}")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "dsc": dsc(gt, pred),

@@ -2,10 +2,13 @@
 
 Masks are 2D boolean arrays.  Boundary extraction uses 4-connectivity
 with the image border counting as outside; all distances are Euclidean
-distances between pixel centers.  NSD counts the boundary pixels within
-tau of the other boundary with count_within, a sorted range query over
-the boundary pixels alone that builds no (h, w) array.  The exact
-distance transform serves the public API and the oracle tests.
+distances between pixel centers.  NSD first cuts both masks to
+union_crop, the smallest rectangle that holds every true pixel of
+either, so its work follows the masks, not the grid.  It then counts
+the boundary pixels within tau of the other boundary with
+count_within, a sorted range query over the boundary pixels alone
+(one binary search per row offset) that builds no (h, w) array.  The
+exact distance transform serves the public API and the oracle tests.
 """
 
 from __future__ import annotations
@@ -30,6 +33,28 @@ def dsc(g: np.ndarray, s: np.ndarray) -> float:
     if total == 0:
         return 1.0
     return 2.0 * int(np.count_nonzero(g & s)) / total
+
+
+def union_crop(g: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of g and s cut to the smallest rectangle that holds every true
+    pixel of either (0x0 when both are empty).
+
+    DSC, NSD and pixel counts are the same on the crops as on the full
+    masks: every cut pixel is false in both, a false pixel and the grid
+    edge both count as outside for the boundary, and distances do not
+    change under translation.
+    """
+    g = np.asarray(g, dtype=bool)
+    s = np.asarray(s, dtype=bool)
+    _check_same_shape(g, s)
+    either = g | s
+    rows = np.flatnonzero(either.any(axis=1))
+    if rows.size == 0:
+        return g[:0, :0], s[:0, :0]
+    band = slice(rows[0], rows[-1] + 1)
+    cols = np.flatnonzero(either[band].any(axis=0))
+    window = (band, slice(cols[0], cols[-1] + 1))
+    return g[window], s[window]
 
 
 def boundary(mask: np.ndarray) -> np.ndarray:
@@ -94,7 +119,8 @@ def _count_within(query: np.ndarray, source: np.ndarray, shape: tuple[int, int],
     # Key r*pitch + c keeps a run of 2*reach + 1 columns inside one row.
     pitch = w + 2 * reach + 1
     s_rows = source // w
-    keys = source + s_rows * (pitch - w)
+    # A sentinel past every key, so the first key at or after any start exists.
+    keys = np.append(source + s_rows * (pitch - w), np.iinfo(np.int64).max)
     left = query + query // w * (pitch - w)
     # Row offsets that reach a source row from some query row, nearest first.
     lo = max(-reach, s_rows[0] - query[-1] // w)
@@ -102,8 +128,9 @@ def _count_within(query: np.ndarray, source: np.ndarray, shape: tuple[int, int],
     for dr in sorted(range(lo, hi + 1), key=abs):
         half = math.isqrt(d2 - dr * dr)
         first = left + (dr * pitch - half)
-        missed = np.searchsorted(keys, first) == np.searchsorted(keys, first + 2 * half,
-                                                                 side="right")
+        # A query misses when the first key at or after its window's start
+        # lies past the window's end.
+        missed = keys[np.searchsorted(keys, first)] > first + 2 * half
         left = left[missed]
         if left.size == 0:
             break
@@ -116,12 +143,13 @@ def count_within(query: np.ndarray, source: np.ndarray, tau: float) -> int:
     The same float test as thresholding distance_transform(source) at
     tau, sqrt(n) <= tau on integer squared distances n, which is n <= d2
     for one integer d2.  Source pixels are sorted keys; for each row
-    offset dr, nearest first, two binary searches find the queries with
-    a source pixel within the column half-width isqrt(d2 - dr*dr), and
-    those queries drop out.  Time O(q log s) per row offset tried (at
-    most 2*isqrt(d2) + 1 of them, fewer once every query is matched),
-    memory O(q + s) for q query and s source pixels; no (h, w) array is
-    built.
+    offset dr, nearest first, one binary search per query finds the
+    first key at or after the start of its window, the columns within
+    the half-width isqrt(d2 - dr*dr); the query hits when that key lies
+    within the window, and hits drop out.  Time O(q log s) per row
+    offset tried (at most 2*isqrt(d2) + 1 of them, fewer once every
+    query is matched), memory O(q + s) for q query and s source pixels;
+    no (h, w) array is built.
     """
     if not tau >= 0:  # also rejects NaN
         raise ValueError(f"tau must be >= 0, got {tau}")
@@ -139,15 +167,13 @@ def nsd(g: np.ndarray, s: np.ndarray, tau: float) -> float:
 
     Fraction of each mask's boundary lying within Euclidean distance tau
     of the other mask's boundary, counted by count_within's range query
-    over the boundary pixels, so time and memory follow the boundary
-    lengths, not the grid or tau.  Both boundaries empty -> 1.0; exactly
-    one empty -> 0.0.
+    over the boundary pixels of the masks' union_crop, so time and
+    memory follow the masks and their boundary lengths, not the grid or
+    tau.  Both boundaries empty -> 1.0; exactly one empty -> 0.0.
     """
     if not tau >= 0:  # also rejects NaN
         raise ValueError(f"tau must be >= 0, got {tau}")
-    g = np.asarray(g, dtype=bool)
-    s = np.asarray(s, dtype=bool)
-    _check_same_shape(g, s)
+    g, s = union_crop(g, s)
     bg = np.flatnonzero(boundary(g))
     bs = np.flatnonzero(boundary(s))
     if bg.size == 0 and bs.size == 0:

@@ -55,6 +55,16 @@ def brute_nsd(g: np.ndarray, s: np.ndarray, tau: float) -> float:
     return hits / (len(pg) + len(ps))
 
 
+def brute_count_within(query: np.ndarray, source: np.ndarray, tau: float) -> int:
+    """Query pixels with some source pixel at sqrt(n) <= tau, over all pairs."""
+    pq = np.argwhere(query)
+    ps = np.argwhere(source)
+    if len(pq) == 0 or len(ps) == 0:
+        return 0
+    d2 = ((pq[:, None, :] - ps[None, :, :]) ** 2).sum(axis=2)
+    return int((np.sqrt(d2.min(axis=1).astype(np.float64)) <= tau).sum())
+
+
 def finite_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function of an array."""
     x = np.asarray(x, dtype=np.float64)

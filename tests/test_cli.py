@@ -223,13 +223,32 @@ def test_eval_infinite_tau(tmp_path, mask_file):
     assert doc["tau"] == "inf"
 
 
-def test_eval_dimension_mismatch_exit(tmp_path, mask_file):
+def test_eval_dimension_mismatch_exit(tmp_path, capsys, mask_file):
     other = tmp_path / "other.pgm"
-    data_mod.write_mask_pgm(other, np.zeros((8, 8), dtype=bool))
+    data_mod.write_mask_pgm(other, np.zeros((6, 8), dtype=bool))
     out = tmp_path / "eval.json"
     assert run("eval", "--gt", str(mask_file), "--pred", str(other),
                "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"boxperturb: DimensionMismatch: mask sizes differ: {mask_file} is 32x32, "
+        f"{other} is 8x6\n")
     assert not out.exists()
+
+
+def test_eval_rewrites_its_output_to_the_same_bytes(tmp_path, mask_file):
+    pred = tmp_path / "pred.pgm"
+    mask = np.zeros((32, 32), dtype=bool)
+    mask[12:22, 5:20] = True
+    data_mod.write_mask_pgm(pred, mask)
+    out = tmp_path / "eval.json"
+    argv = ("eval", "--gt", str(mask_file), "--pred", str(pred), "--out", str(out))
+    assert run(*argv) == 0
+    first = out.read_bytes()
+    assert run(*argv) == 0
+    assert out.read_bytes() == first
+    out.write_bytes(b"longer than the result\n" * 40)
+    assert run(*argv) == 0
+    assert out.read_bytes() == first
 
 
 def test_gen_writes_pairs_and_manifest(tmp_path):

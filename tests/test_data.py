@@ -354,6 +354,17 @@ def test_f32g_bad_magic_and_size(tmp_path):
             data_mod.read_f32_grid(empty)
 
 
+def test_writers_rewrite_a_longer_file(tmp_path):
+    path = tmp_path / "grid.f32g"
+    data_mod.write_f32_grid(path, np.arange(12, dtype=np.float32).reshape(3, 4))
+    data_mod.write_f32_grid(path, np.array([[-360.0]], dtype=np.float32))
+    assert data_mod.read_f32_grid(path).tobytes() == np.float32(-360.0).tobytes()
+    mask = tmp_path / "mask.pgm"
+    data_mod.write_mask_pgm(mask, np.ones((9, 9), dtype=bool))
+    data_mod.write_mask_pgm(mask, np.eye(2, dtype=bool))
+    assert mask.read_bytes() == b"P5\n2 2\n255\n\xff\x00\x00\xff"
+
+
 def test_dataset_save_load_round_trip(tmp_path):
     split = data_mod.gen_synthetic(10, "standard", grid=32, seed=8)
     data_mod.save_dataset(split, tmp_path / "ds", "standard", 32, 8)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from boxperturb.errors import DimensionMismatch, EmptyMask
-from boxperturb.metrics import boundary, count_within, distance_transform, dsc, nsd
+from boxperturb.metrics import (boundary, count_within, distance_transform, dsc, nsd,
+                                union_crop)
 from boxperturb.rng import make_rng
 
-from oracles import brute_boundary, brute_distance_grid, brute_nsd
+from oracles import brute_boundary, brute_count_within, brute_distance_grid, brute_nsd
 
 
 def random_mask(key, shape=(64, 64), p=0.1):
@@ -42,8 +43,10 @@ def test_dsc_both_empty_convention():
 
 
 def test_dsc_dimension_mismatch():
-    with pytest.raises(DimensionMismatch, match=r"mask shapes differ: \(3, 3\) vs \(4, 4\)"):
-        dsc(np.zeros((3, 3), dtype=bool), np.zeros((4, 4), dtype=bool))
+    g, s = np.zeros((3, 3), dtype=bool), np.zeros((4, 4), dtype=bool)
+    for fn in (dsc, union_crop, lambda g, s: nsd(g, s, 1.0)):
+        with pytest.raises(DimensionMismatch, match=r"mask shapes differ: \(3, 3\) vs \(4, 4\)"):
+            fn(g, s)
 
 
 def test_dsc_symmetry_and_translation_invariance():
@@ -348,3 +351,66 @@ def test_nsd_saturates_at_grid_diagonal():
     s[31, 31] = True
     diagonal = np.sqrt(2.0) * 32
     assert nsd(g, s, diagonal) == 1.0
+
+
+def crop_case(kind, i):
+    """A random mask pair on a random grid of sides 1 to 24, of the given kind."""
+    rng = make_rng(316, ("empty", "single", "edge", "far", "nested").index(kind), i)
+    h, w = (int(v) for v in rng.integers(1, 25, 2))
+    g = np.zeros((h, w), dtype=bool)
+    s = np.zeros((h, w), dtype=bool)
+
+    def blob(mask, r0, r1, c0, c1):
+        mask[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) < 0.7
+        mask[r0, c0] = True
+
+    if kind == "empty":  # neither, or just one, of the masks has a pixel
+        if i % 3:
+            blob((g, s)[i % 2], 0, h, 0, w)
+    elif kind == "single":  # one pixel in one or both masks
+        g[int(rng.integers(h)), int(rng.integers(w))] = True
+        if i % 2:
+            s[int(rng.integers(h)), int(rng.integers(w))] = True
+    elif kind == "edge":  # both masks in a band flush with one grid edge
+        band = [slice(None), slice(None)]
+        axis, n = i % 2, (h, w)[i % 2]
+        depth = int(rng.integers(1, n + 1))
+        band[axis] = slice(0, depth) if (i // 2) % 2 == 0 else slice(n - depth, n)
+        g[tuple(band)] = rng.random(g[tuple(band)].shape) < 0.7
+        s[tuple(band)] = rng.random(s[tuple(band)].shape) < 0.5
+    elif kind == "far":  # small blobs in opposite corners
+        blob(g, 0, max(1, h // 4), 0, max(1, w // 4))
+        blob(s, h - max(1, h // 4), h, w - max(1, w // 4), w)
+    else:  # nested: s inside g, a filled rectangle
+        r0, c0 = int(rng.integers(h)), int(rng.integers(w))
+        r1, c1 = int(rng.integers(r0 + 1, h + 1)), int(rng.integers(c0 + 1, w + 1))
+        g[r0:r1, c0:c1] = True
+        s[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) < 0.3
+    return g, s
+
+
+CROP_TAUS = (0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, 8.0, 1e9, math.inf)
+
+
+@pytest.mark.parametrize("kind", ["empty", "single", "edge", "far", "nested"])
+def test_union_crop_keeps_dsc_nsd_and_counts(kind):
+    for i in range(12):
+        g, s = crop_case(kind, i)
+        cg, cs = union_crop(g, s)
+        either = g | s
+        # Every true pixel is kept, and each side of the crop touches one.
+        assert cg.shape == cs.shape
+        assert (np.count_nonzero(cg), np.count_nonzero(cs)) == (np.count_nonzero(g),
+                                                               np.count_nonzero(s))
+        if either.any():
+            ce = cg | cs
+            assert ce[0].any() and ce[-1].any() and ce[:, 0].any() and ce[:, -1].any()
+        else:
+            assert cg.shape == (0, 0)
+        assert dsc(cg, cs) == dsc(g, s)
+        for tau in CROP_TAUS:
+            value = nsd(g, s, tau)
+            assert value == nsd(cg, cs, tau) == brute_nsd(g, s, tau)
+            for query, source in ((g, s), (s, g), (boundary(g), boundary(s))):
+                assert count_within(query, source, tau) == brute_count_within(query, source, tau)
+            assert count_within(cg, cs, tau) == count_within(g, s, tau)
