@@ -79,7 +79,7 @@ def _parse_value(text: str, default):
 
 
 def read_run_config(path=None) -> RunConfig:
-    """Parse an INI-style `key = value` file; unknown and repeated keys are rejected.
+    """Parse a UTF-8, INI-style `key = value` file; unknown and repeated keys are rejected.
 
     Missing keys take the dataclass defaults; a missing path yields the
     pure defaults.  Each value is checked as its line is read, so an
@@ -90,24 +90,28 @@ def read_run_config(path=None) -> RunConfig:
         return config
     defaults = config.values()
     values = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in defaults:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: {key} is already set")
-            try:
-                values[key] = _parse_value(value.strip(), defaults[key])
-                config = RunConfig.from_values(values)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {key}: {e}") from None
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        lineno = e.object.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}:{lineno}: {e}") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected `key = value`")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in defaults:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: {key} is already set")
+        try:
+            values[key] = _parse_value(value.strip(), defaults[key])
+            config = RunConfig.from_values(values)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {key}: {e}") from None
     return config
 
 
@@ -195,9 +199,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_nonempty(data_dir, names) -> data_mod.DatasetSplit:
+    """The dataset in data_dir, checked before any fit to hold samples in each named split."""
+    split = data_mod.load_dataset(data_dir)
+    with naming(data_dir):
+        for name in names:
+            if not getattr(split, name):
+                raise EmptyDataset(f"empty {name} split")
+    return split
+
+
 def cmd_train(args) -> int:
     config = read_run_config(args.config)
-    split = data_mod.load_dataset(args.data_dir)
+    split = _load_nonempty(args.data_dir, ("train", "val"))
     model, history = toyseg.train(split, config.train)
     toyseg.save_model(model, args.out, train_config_echo=config.values())
     _write_csv(args.history, config, [f.name for f in fields(toyseg.EpochRecord)],
@@ -247,14 +261,8 @@ def cmd_ablate(args) -> int:
         raise ValueError(
             f"--error-dsc-threshold must be in (0, 1], got {args.error_dsc_threshold}")
     config = read_run_config(args.config)
-    root = Path(args.data_dir)
-    splits = []
-    for suite in ("standard", "tiny"):
-        split = data_mod.load_dataset(root / suite)
-        for name in ("train", "val", "test"):
-            if not getattr(split, name):  # fail before any fit, naming the suite
-                raise EmptyDataset(f"{root / suite}: empty {name} split")
-        splits.append(split)
+    splits = [_load_nonempty(Path(args.data_dir) / suite, ("train", "val", "test"))
+              for suite in ("standard", "tiny")]
     rows = run_ablation(*splits, config, args.error_dsc_threshold)
     _write_csv(args.out, config, rows[0].keys(), [row.values() for row in rows], notes=[
         f"error_rate criterion: per-image DSC < {args.error_dsc_threshold} "

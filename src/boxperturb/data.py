@@ -31,7 +31,12 @@ NOISE_SIGMA = 0.05
 
 @dataclass(frozen=True)
 class SyntheticSample:
-    """An image, its nonempty target mask of the same shape, and the mask's GT box."""
+    """A float32 image, its nonempty target mask of the same shape, and the mask's GT box.
+
+    Generated and loaded images alike are float32, the dtype of F32G files,
+    so a model trained in memory and one trained on the saved dataset see
+    the same pixels.
+    """
 
     image: np.ndarray
     mask: np.ndarray
@@ -72,8 +77,9 @@ def _render(fg: np.ndarray, mask: np.ndarray, placed: int,
             rng: np.random.Generator) -> SyntheticSample:
     """Noisy image of the foreground fg, with mask as the labelled target."""
     image = np.where(fg, FOREGROUND_MEAN, BACKGROUND_MEAN)
-    image = np.clip(image + rng.normal(0.0, NOISE_SIGMA, size=image.shape), 0.0, 1.0)
-    return SyntheticSample(image=image, mask=mask, distractor_count=placed,
+    image += rng.normal(0.0, NOISE_SIGMA, size=image.shape)
+    np.clip(image, 0.0, 1.0, out=image)
+    return SyntheticSample(image=image.astype(np.float32), mask=mask, distractor_count=placed,
                            target_area_fraction=float(mask.sum() / mask.size))
 
 
@@ -377,7 +383,7 @@ def load_dataset(data_dir) -> DatasetSplit:
     for name, split_entries in entries.items():
         samples = []
         for entry in split_entries:
-            image = read_f32_grid(root / entry["image"]).astype(np.float64)
+            image = read_f32_grid(root / entry["image"])
             with naming(root / entry["image"]):
                 if not np.isfinite(image).all():
                     raise DomainError("image holds a non-finite pixel")

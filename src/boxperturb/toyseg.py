@@ -124,7 +124,7 @@ def _feature_parts(image: np.ndarray, box: BoundingBox,
     computed.  In it hypot(ax, ay) is ax + ay wherever one of them is 0,
     so hypot runs only on the corner blocks.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = np.asarray(image)
     h, w = image.shape
     if not box.within_image(w, h):
         raise BoxOutOfBounds(f"box exceeds image extent {w}x{h}")
@@ -175,7 +175,8 @@ def _forward(model: ToyModel, image: np.ndarray, box: BoundingBox):
     work = model.work_arrays(np.shape(image))
     parts = _, intensity, _, signed, cx, cy = _feature_parts(image, box, work)
     w0, w1, w2, w3, w4, w5 = model.weights
-    z = np.multiply(intensity, w1, out=work.p)
+    # dtype: numpy < 2 would multiply a float32 image by a float64 scalar in float32.
+    z = np.multiply(intensity, w1, out=work.p, dtype=np.float64)
     z += w0
     z[work.inner] += w2
     for weight, part in ((w3, signed), (w4, cx), (w5, cy)):

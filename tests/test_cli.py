@@ -1,6 +1,5 @@
 import json
 import re
-import struct
 import warnings
 from pathlib import Path
 
@@ -10,12 +9,26 @@ import pytest
 from boxperturb import data as data_mod
 from boxperturb import toyseg
 from boxperturb.cli import build_parser, main, read_run_config
+from console_cases import CASES, verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.id)
+def test_console_case(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    for step in case.setup:
+        step(tmp_path)
+    if case.code:  # a failing case fails before any fit
+        monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(case.argv.split())
+    assert verify(case, tmp_path, code, capsys.readouterr().err) == []
 
 
 @pytest.fixture()
@@ -56,7 +69,6 @@ def test_read_run_config_defaults_and_overrides(tmp_path):
     pytest.param("epochs = 2\nlr = 0\n", 2, id="zero-lr"),
     pytest.param("min_lr = -1\n", 1, id="negative-min-lr"),
     pytest.param("seed = -1\n", 1, id="negative-seed"),
-    pytest.param("seed = 1\nlr = 0.5\nseed = 2\n", 3, id="repeated-key"),
 ])
 def test_read_run_config_rejects_unknown_key(tmp_path, capsys, text, lineno):
     cfg = tmp_path / "bad.cfg"
@@ -158,16 +170,6 @@ def test_perturb_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_perturb_empty_mask_exit_code(tmp_path, capsys):
-    empty = tmp_path / "empty.pgm"
-    data_mod.write_mask_pgm(empty, np.zeros((8, 8), dtype=bool))
-    out = tmp_path / "out.csv"
-    assert run("perturb", "--mask", str(empty), "--out", str(out)) == 2
-    assert capsys.readouterr().err == (
-        f"boxperturb: EmptyMask: {empty}: cannot derive a box from an empty mask\n")
-    assert not out.exists()
-
-
 def test_eval_identical_files(tmp_path, mask_file):
     out = tmp_path / "eval.json"
     assert run("eval", "--gt", str(mask_file), "--pred", str(mask_file),
@@ -199,30 +201,6 @@ def test_eval_singleton_distance_case(tmp_path):
     assert json.loads(out.read_text())["nsd"] == 0.0
 
 
-@pytest.mark.parametrize("tau", ["-1", "-0.5", "nan", "-inf"])
-def test_eval_rejects_bad_tau(tmp_path, capsys, mask_file, tau):
-    out = tmp_path / "eval.json"
-    assert run("eval", "--gt", str(mask_file), "--pred", str(mask_file),
-               f"--tau={tau}", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("boxperturb: --tau must be >= 0")
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid JSON")
-
-
-def test_eval_infinite_tau(tmp_path, mask_file):
-    out = tmp_path / "eval.json"
-    assert run("eval", "--gt", str(mask_file), "--pred", str(mask_file),
-               "--tau", "inf", "--out", str(out)) == 0
-    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
-    assert doc["nsd"] == 1.0
-    assert doc["tau"] == "inf"
-
-
 def test_eval_dimension_mismatch_exit(tmp_path, capsys, mask_file):
     other = tmp_path / "other.pgm"
     data_mod.write_mask_pgm(other, np.zeros((6, 8), dtype=bool))
@@ -233,33 +211,6 @@ def test_eval_dimension_mismatch_exit(tmp_path, capsys, mask_file):
         f"boxperturb: DimensionMismatch: mask sizes differ: {mask_file} is 32x32, "
         f"{other} is 8x6\n")
     assert not out.exists()
-
-
-def test_eval_rewrites_its_output_to_the_same_bytes(tmp_path, mask_file):
-    pred = tmp_path / "pred.pgm"
-    mask = np.zeros((32, 32), dtype=bool)
-    mask[12:22, 5:20] = True
-    data_mod.write_mask_pgm(pred, mask)
-    out = tmp_path / "eval.json"
-    argv = ("eval", "--gt", str(mask_file), "--pred", str(pred), "--out", str(out))
-    assert run(*argv) == 0
-    first = out.read_bytes()
-    assert run(*argv) == 0
-    assert out.read_bytes() == first
-    out.write_bytes(b"longer than the result\n" * 40)
-    assert run(*argv) == 0
-    assert out.read_bytes() == first
-
-
-def test_gen_writes_pairs_and_manifest(tmp_path):
-    out_dir = tmp_path / "ds"
-    assert run("gen", "--suite", "standard", "--n", "10", "--grid", "32",
-               "--seed", "4", "--out-dir", str(out_dir)) == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert len(manifest["samples"]) == 10
-    assert [len(manifest["splits"][k]) for k in ("train", "val", "test")] == [8, 1, 1]
-    assert len(list(out_dir.glob("img_*.f32g"))) == 10
-    assert len(list(out_dir.glob("mask_*.pgm"))) == 10
 
 
 def test_gen_regeneration_identical(tmp_path):
@@ -360,162 +311,6 @@ def test_train_malformed_manifest_exit(tmp_path, capsys, manifest):
     assert err.startswith(f"boxperturb: MalformedFile: {tmp_path / 'manifest.json'}: ")
     assert err.count("\n") == 1
     assert not model.exists()
-
-
-@pytest.mark.parametrize("mask_shape, message", [
-    ((20, 20), "DimensionMismatch: {path}: image is (32, 32), mask (20, 20)"),
-    ((32, 32), "EmptyMask: {path}: cannot derive a box from an empty mask"),
-], ids=["size-mismatch", "empty-mask"])
-def test_train_bad_sample_exit(tmp_path, capsys, monkeypatch, mask_shape, message):
-    data_dir = tmp_path / "ds"
-    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
-               "--out-dir", str(data_dir)) == 0
-    mask_path = data_dir / "mask_0003.pgm"
-    data_mod.write_mask_pgm(mask_path, np.zeros(mask_shape, dtype=bool))
-    # The sample is checked as the dataset is loaded, before any fit.
-    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
-    capsys.readouterr()
-    model, hist = tmp_path / "m.json", tmp_path / "h.csv"
-    assert run("train", "--data-dir", str(data_dir), "--out", str(model),
-               "--history", str(hist)) == 2
-    assert capsys.readouterr().err == f"boxperturb: {message.format(path=mask_path)}\n"
-    assert not model.exists() and not hist.exists()
-
-
-@pytest.mark.parametrize("name, content, message", [
-    ("img_0003.f32g", None, "MalformedFile: {path}: payload is 84 bytes, header implies 4096"),
-    ("mask_0002.pgm", b"P5\n32 x\n255",
-     "MalformedFile: {path}: non-numeric PGM header token b'x'"),
-], ids=["truncated-image", "bad-mask-header"])
-def test_train_bad_file_exit(tmp_path, capsys, monkeypatch, name, content, message):
-    data_dir = tmp_path / "ds"
-    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
-               "--out-dir", str(data_dir)) == 0
-    path = data_dir / name
-    if content is None:  # cut the 32x32 image to 100 bytes
-        content = path.read_bytes()[:100]
-    path.write_bytes(content)
-    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
-    capsys.readouterr()
-    model, hist = tmp_path / "m.json", tmp_path / "h.csv"
-    assert run("train", "--data-dir", str(data_dir), "--out", str(model),
-               "--history", str(hist)) == 2
-    assert capsys.readouterr().err == f"boxperturb: {message.format(path=path)}\n"
-    assert not model.exists() and not hist.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["eval", "--gt", "{bad}", "--pred", "{mask}"],
-    ["eval", "--gt", "{mask}", "--pred", "{bad}"],
-    ["perturb", "--mask", "{bad}"],
-    ["preprocess", "--in", "{bad}", "--window", "0", "1"],
-    ["preprocess", "--in", "{bad}", "--window", "0", "1", "--resize", "4", "4"],
-], ids=["eval-gt", "eval-pred", "perturb-mask", "preprocess-in", "preprocess-zero-size"])
-def test_bad_input_file_exit(tmp_path, capsys, mask_file, argv):
-    if "--resize" in argv:  # a 0x5 F32G grid: a header with no pixels
-        bad = tmp_path / "zero.f32g"
-        bad.write_bytes(b"F32G" + struct.pack("<III", 0, 5, 0))
-        message = "MalformedFile: {path}: invalid F32G dimensions 0x5"
-    elif argv[0] == "preprocess":  # an F32G grid cut to 40 bytes
-        bad = tmp_path / "cut.f32g"
-        data_mod.write_f32_grid(bad, np.zeros((32, 32), dtype=np.float32))
-        bad.write_bytes(bad.read_bytes()[:40])
-        message = "MalformedFile: {path}: payload is 24 bytes, header implies 4096"
-    else:
-        bad = tmp_path / "bad.pgm"
-        bad.write_bytes(b"P5\n32 x\n255")
-        message = "MalformedFile: {path}: non-numeric PGM header token b'x'"
-    out = tmp_path / "out"
-    argv = [a.format(bad=bad, mask=mask_file) for a in argv]
-    assert run(*argv, "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err == f"boxperturb: {message.format(path=bad)}\n"
-    assert err.count(str(bad)) == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("split, value", [("train", np.inf), ("val", np.nan)])
-def test_train_non_finite_image_exit(tmp_path, capsys, monkeypatch, split, value):
-    data_dir = tmp_path / "ds"
-    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
-               "--out-dir", str(data_dir)) == 0
-    manifest = json.loads((data_dir / "manifest.json").read_text())
-    path = data_dir / f"img_{manifest['splits'][split][0]}.f32g"
-    image = data_mod.read_f32_grid(path)
-    image[7, 2] = value
-    data_mod.write_f32_grid(path, image)
-    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
-    capsys.readouterr()
-    model, hist = tmp_path / "m.json", tmp_path / "h.csv"
-    assert run("train", "--data-dir", str(data_dir), "--out", str(model),
-               "--history", str(hist)) == 2
-    assert capsys.readouterr().err == (
-        f"boxperturb: DomainError: {path}: image holds a non-finite pixel\n")
-    assert not model.exists() and not hist.exists()
-
-
-def test_eval_pixel_above_maxval_exit(tmp_path, capsys, mask_file):
-    over = tmp_path / "over.pgm"
-    over.write_bytes(b"P5\n2 1\n200\n\x00\xc9")  # 201 > maxval 200
-    out = tmp_path / "out.json"
-    assert run("eval", "--gt", str(over), "--pred", str(mask_file), "--out", str(out)) == 2
-    assert capsys.readouterr().err == (
-        f"boxperturb: MalformedFile: {over}: pixel value outside 0..maxval\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("case", ["eval-bad-tau", "ablate-missing-suite", "perturb-empty-mask"])
-def test_failed_command_keeps_existing_output(tmp_path, mask_file, case):
-    # None of these failures opens --out, so a file already there is left alone.
-    out = tmp_path / "keep.out"
-    out.write_bytes(b"written before\n")
-    empty = tmp_path / "empty.pgm"
-    data_mod.write_mask_pgm(empty, np.zeros((8, 8), dtype=bool))
-    argv, code = {
-        "eval-bad-tau": (["eval", "--gt", str(mask_file), "--pred", str(mask_file),
-                          "--tau", "-1"], 1),
-        "ablate-missing-suite": (["ablate", "--data-dir", str(tmp_path / "nowhere")], 2),
-        "perturb-empty-mask": (["perturb", "--mask", str(empty)], 2),
-    }[case]
-    assert run(*argv, "--out", str(out)) == code
-    assert out.read_bytes() == b"written before\n"
-
-
-def test_failed_train_removes_the_model_it_wrote(tmp_path, capsys):
-    data_dir = tmp_path / "ds"
-    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
-               "--out-dir", str(data_dir)) == 0
-    cfg = tmp_path / "one.cfg"
-    cfg.write_text("epochs = 1\n")
-    model = tmp_path / "m.json"
-    assert run("train", "--data-dir", str(data_dir), "--config", str(cfg), "--out", str(model),
-               "--history", str(tmp_path / "missing" / "h.csv")) == 2
-    assert capsys.readouterr().err.startswith("boxperturb: FileNotFoundError: ")
-    assert not model.exists()
-
-
-@pytest.mark.parametrize("command", ["ablate", "train", "eval"])
-def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
-                                                        mask_file, command):
-    root = tmp_path / "ds"
-    for suite, grid in (("standard", "32"), ("tiny", "64")):
-        assert run("gen", "--suite", suite, "--n", "10", "--grid", grid,
-                   "--seed", "4", "--out-dir", str(root / suite)) == 0
-    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
-    capsys.readouterr()
-    missing = tmp_path / "missing"
-    model = tmp_path / "m.json"
-    argv = {
-        "ablate": ["ablate", "--data-dir", str(root), "--out", str(missing / "x.csv")],
-        "train": ["train", "--data-dir", str(root / "standard"), "--out", str(model),
-                  "--history", str(missing / "h.csv")],
-        "eval": ["eval", "--gt", str(mask_file), "--pred", str(mask_file),
-                 "--out", str(missing / "x.json")],
-    }[command]
-    assert run(*argv) == 2
-    assert capsys.readouterr().err == (
-        f"boxperturb: FileNotFoundError: output directory {missing} does not exist\n")
-    assert not missing.exists() and not model.exists()
 
 
 def test_ablate_schema(tmp_path):
@@ -687,18 +482,6 @@ def test_preprocess_lung_window_and_resize(tmp_path):
     grid = data_mod.read_f32_grid(out)
     assert grid.shape == (8, 8)
     assert grid.min() >= 0.0 and grid.max() <= 1.0
-
-
-def test_preprocess_invalid_window_exit(tmp_path, capsys):
-    src = tmp_path / "raw.f32g"
-    data_mod.write_f32_grid(src, np.zeros((2, 2), dtype=np.float32))
-    out = tmp_path / "norm.f32g"
-    for window in (["440", "-360"], ["0", "inf"]):
-        assert run("preprocess", "--in", str(src), "--window", *window,
-                   "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("boxperturb: InvalidWindow: ") and err.count("\n") == 1
-        assert not out.exists()
 
 
 def test_usage_error_exit_code():

@@ -372,7 +372,8 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert len(loaded.train) == len(split.train)
     for a, b in zip(split.all_samples, loaded.all_samples):
         assert (a.mask == b.mask).all()
-        assert np.allclose(a.image, b.image, atol=1e-7)
+        assert a.image.dtype == b.image.dtype == np.float32
+        assert (a.image == b.image).all()
 
 
 @pytest.mark.parametrize("split, value", [("train", np.inf), ("val", np.nan)])

@@ -360,6 +360,17 @@ def test_train_determinism(tiny_dataset):
     assert hist1 == hist2
 
 
+def test_train_in_memory_equals_train_after_save_and_load(tmp_path):
+    # Generated and loaded images are both float32, so both fits see the same pixels.
+    split = data_mod.gen_synthetic(20, "standard", grid=64, seed=0)
+    data_mod.save_dataset(split, tmp_path, "standard", 64, 0)
+    cfg = toyseg.TrainConfig(epochs=3, seed=3)
+    model, history = toyseg.train(split, cfg)
+    reloaded, reloaded_history = toyseg.train(data_mod.load_dataset(tmp_path), cfg)
+    assert model.weights.tobytes() == reloaded.weights.tobytes()
+    assert history == reloaded_history
+
+
 def test_train_empty_dataset():
     empty = data_mod.DatasetSplit(train=(), val=(), test=())
     with pytest.raises(EmptyDataset):
