@@ -313,6 +313,43 @@ def test_train_malformed_manifest_exit(tmp_path, capsys, manifest):
     assert not model.exists()
 
 
+def test_failed_train_removes_the_model_it_wrote(tmp_path, capsys):
+    data_dir = tmp_path / "ds"
+    assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
+               "--out-dir", str(data_dir)) == 0
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("epochs = 1\n")
+    model = tmp_path / "m.json"
+    assert run("train", "--data-dir", str(data_dir), "--config", str(cfg), "--out", str(model),
+               "--history", str(tmp_path / "missing" / "h.csv")) == 2
+    assert capsys.readouterr().err.startswith("boxperturb: FileNotFoundError: ")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "train", "eval"])
+def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        mask_file, command):
+    root = tmp_path / "ds"
+    for suite, grid in (("standard", "32"), ("tiny", "64")):
+        assert run("gen", "--suite", suite, "--n", "10", "--grid", grid,
+                   "--seed", "4", "--out-dir", str(root / suite)) == 0
+    monkeypatch.setattr(toyseg, "train", lambda *a, **k: pytest.fail("train was called"))
+    capsys.readouterr()
+    missing = tmp_path / "missing"
+    model = tmp_path / "m.json"
+    argv = {
+        "ablate": ["ablate", "--data-dir", str(root), "--out", str(missing / "x.csv")],
+        "train": ["train", "--data-dir", str(root / "standard"), "--out", str(model),
+                  "--history", str(missing / "h.csv")],
+        "eval": ["eval", "--gt", str(mask_file), "--pred", str(mask_file),
+                 "--out", str(missing / "x.json")],
+    }[command]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"boxperturb: FileNotFoundError: output directory {missing} does not exist\n")
+    assert not missing.exists() and not model.exists()
+
+
 def test_ablate_schema(tmp_path):
     root = tmp_path / "ds"
     assert run("gen", "--suite", "standard", "--n", "10", "--grid", "48",
