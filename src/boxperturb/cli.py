@@ -282,9 +282,9 @@ def cmd_preprocess(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+    def error(self, message):  # one line, as every failure; the usage text is under --help
+        sub = self.prog.partition(" ")[2]  # "perturb" of "boxperturb perturb"; "" at the top
+        print(f"boxperturb: {sub + ': ' if sub else ''}{message}", file=sys.stderr)
         raise SystemExit(1)
 
 

@@ -185,7 +185,8 @@ def window_normalize(raw: np.ndarray, w_lo: float, w_hi: float) -> np.ndarray:
     """Window an HU grid to [w_lo, w_hi] and min-max normalize into [0, 1]."""
     if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo < w_hi):
         raise InvalidWindow(f"window requires finite w_lo < w_hi, got ({w_lo}, {w_hi})")
-    raw = np.asarray(raw, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN becomes NaN, as a quiet one does
+        raw = np.asarray(raw, dtype=np.float64)
     return np.clip((raw - w_lo) / (w_hi - w_lo), 0.0, 1.0)
 
 

@@ -10,12 +10,16 @@ on PATH, each in a fresh temporary directory:
 
 It prints one line per row, its id and `pass`, or `FAIL` and what
 differed, and exits 1 if a row fails or there is no `boxperturb` on PATH.
+
+The usage-error rows pin argparse's wording as Python 3.10 and 3.11
+print it, the versions CI runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import shutil
 import struct
 import subprocess
@@ -25,7 +29,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from boxperturb import data
+import numpy as np
+
+from boxperturb import data, toyseg
+from boxperturb.cli import read_run_config
 
 
 @dataclass(frozen=True)
@@ -59,31 +66,34 @@ def verify(case: Case, root: Path, code: int, stderr: str) -> list[str]:
 
 # --- Set-up steps ---
 
-def dataset(root: Path):
-    """ds: the 10-image 32x32 standard dataset that `gen --seed 0` writes."""
-    data.save_dataset(data.gen_synthetic(10, "standard", grid=32, seed=0), root / "ds",
-                      suite="standard", grid=32, seed=0)
-
-
-def suites(root: Path):
-    """ds/standard (32x32) and ds/tiny (64x64), the two datasets `ablate` reads."""
-    for suite, grid in (("standard", 32), ("tiny", 64)):
-        data.save_dataset(data.gen_synthetic(10, suite, grid=grid, seed=4), root / "ds" / suite,
-                          suite=suite, grid=grid, seed=4)
+def gen(path="ds", suite="standard", grid=32, seed=0):
+    """A step that writes at path the 10-image dataset `gen` writes for suite, grid and seed."""
+    return lambda root: data.save_dataset(data.gen_synthetic(10, suite, grid=grid, seed=seed),
+                                          root / path, suite=suite, grid=grid, seed=seed)
 
 
 def write(name: str, content: bytes):
-    """A step that writes content to the file name, replacing any file there."""
-    return lambda root: (root / name).write_bytes(content)
-
-
-def splits(edit):
-    """A step that lets edit change the split lists of ds/manifest.json in place."""
+    """A step that writes content to the file name, making its directory, replacing any file."""
     def step(root: Path):
-        path = root / "ds" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        edit(manifest["splits"])
-        path.write_text(json.dumps(manifest))
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(content)
+    return step
+
+
+def mask(name: str, shape, rows=slice(0), cols=slice(0)):
+    """A step that writes name as a PGM mask of the given shape, true on [rows, cols]."""
+    pixels = np.zeros(shape, dtype=bool)
+    pixels[rows, cols] = True
+    return lambda root: data.write_mask_pgm(root / name, pixels)
+
+
+def splits(edit, manifest="ds/manifest.json"):
+    """A step that lets edit change the split lists of manifest in place."""
+    def step(root: Path):
+        path = root / manifest
+        doc = json.loads(path.read_text())
+        edit(doc["splits"])
+        path.write_text(json.dumps(doc))
     return step
 
 
@@ -95,12 +105,63 @@ def f32g(w: int, h: int, *pixels: float) -> bytes:
 
 # --- Checks of written files ---
 
+def every(*checks):
+    """A check that makes each of checks in turn."""
+    def check(root: Path):
+        for each in checks:
+            each(root)
+    return check
+
+
+def has_line(name: str, line: str):
+    """A check that the file name holds line."""
+    def check(root: Path):
+        assert line in (root / name).read_text().splitlines(), f"{name} has no line {line!r}"
+    return check
+
+
 def holds(name: str, **want):
     """A check that the JSON object in the file name has each key of want, with its value."""
     def check(root: Path):
         doc = json.loads((root / name).read_text())
         got = {key: doc.get(key) for key in want}
         assert got == want, f"{name} has {got}, want {want}"
+    return check
+
+
+def csv_rows(path: Path) -> list[list[str]]:
+    """The header and rows of a CSV artifact, split on commas, without its comment lines."""
+    return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def draws(n: int, box=None, offsets=None):
+    """A check that out.csv holds n draws, each with box and offsets when they are given."""
+    def check(root: Path):
+        header, *rows = csv_rows(root / "out.csv")
+        assert header[:5] == ["draw", "x_min", "y_min", "x_max", "y_max"], header
+        assert len(rows) == n, f"{len(rows)} draws"
+        for row in rows:
+            assert box is None or ([float(x) for x in row[1:5]], row[-1]) == (box, "0"), row
+            assert offsets is None or [float(x) for x in row[5:9]] == offsets, row
+    return check
+
+
+def stats_line(root: Path):
+    lines = (root / "out.csv").read_text().splitlines()
+    boxes = np.array([[float(x) for x in row[1:5]] for row in csv_rows(root / "out.csv")[1:]])
+    widths, heights = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+    match = re.fullmatch(r"# stats: mean_width = (\S+), mean_height = (\S+), "
+                         r"mean_aspect = (\S+)", lines[-1])
+    assert match, lines[-1]
+    assert [float(x) for x in match.groups()] == [np.mean(widths), np.mean(heights),
+                                                  np.mean(widths) / np.mean(heights)]
+
+
+def grid(check_grid):
+    """A check that check_grid(grid) holds for the grid preprocess wrote to out.f32g."""
+    def check(root: Path):
+        out = data.read_f32_grid(root / "out.f32g")
+        assert check_grid(out), out
     return check
 
 
@@ -119,18 +180,67 @@ def six_finite_weights(root: Path):
     assert len(weights) == 6 and all(map(math.isfinite, weights)), f"weights {weights}"
 
 
+def history_round_trips(root: Path):
+    _, history = toyseg.train(data.load_dataset(root / "ds"),
+                              read_run_config(root / "run.cfg").train)
+    header, *rows = csv_rows(root / "history.csv")
+    assert header == ["epoch", "train_loss", "val_loss", "lr"], header
+    assert [[int(row[0])] + [float(x) for x in row[1:]] for row in rows] == [
+        [rec.epoch, rec.train_loss, rec.val_loss, rec.lr] for rec in history]
+
+
+def ablation_schema(root: Path):
+    lines = (root / "ablation.csv").read_text().splitlines()
+    assert any(line.startswith("# schema_version") for line in lines)
+    header, *rows = csv_rows(root / "ablation.csv")
+    assert header[0] == "config" and [row[0] for row in rows] == [
+        "baseline", "+theta_xi", "+bidirectional", "full"], (header, rows)
+    for row in rows:
+        values = dict(zip(header, row))
+        for key in ("dsc_standard", "nsd_standard", "dsc_expand", "nsd_expand",
+                    "dsc_shrink", "nsd_shrink", "error_rate"):
+            assert 0.0 <= float(values[key]) <= 1.0, (key, values[key])
+
+
 # --- The rows ---
 
-DS = (dataset, write("one.cfg", b"epochs = 1\n"))
+ONE_EPOCH = write("one.cfg", b"epochs = 1\n")
+DS = (gen(), ONE_EPOCH)
+SUITES = (gen("ds/standard", "standard", 32, 4), gen("ds/tiny", "tiny", 64, 4))
+MASK = mask("mask.pgm", (32, 32), slice(10, 20), slice(8, 24))  # box (8, 10, 24, 20)
 EVAL = "eval --gt ds/mask_0000.pgm --pred ds/mask_0001.pgm"
 EVAL_JSON = (b'{\n  "schema_version": 1,\n  "dsc": 0.0,\n  "nsd": 0.0,\n  "tau": 2.0,\n'
              b'  "gt_pixels": 140,\n  "pred_pixels": 184\n}\n')  # EVAL at --tau 2
+SINGLETONS = (mask("g.pgm", (6, 6), 0, 0), mask("s.pgm", (6, 6), 0, 3))  # 3 pixels apart
 TRAIN = "train --data-dir ds --config {} --out model.json --history history.csv"
 NO_MODEL = ("model.json", "history.csv")
 BAD_HEADER = b"P5\n32 x\n255"
 KEPT = b"written before\n"
 EMPTY_MASK = write("empty.pgm", b"P5\n8 8\n255\n" + bytes(64))
 GRID = write("in.f32g", f32g(2, 2))
+ABLATE = "ablate --data-dir ds --config one.cfg --out ablation.csv"
+PREPROCESS = "preprocess --in in.f32g --window 0 1 --out out.f32g"
+NAN_THEN_HALF = grid(lambda out: out.shape == (1, 2) and np.isnan(out[0, 0]) and out[0, 1] == 0.5)
+
+
+# The damaged manifests of the train-manifest-<id> rows: (id, manifest, error after its path).
+MANIFESTS = [
+    ("not-json", "{bad",
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("no-splits", '{"samples": []}', "needs a 'samples' list and a 'splits' object"),
+    ("a-list", "[]", "needs a 'samples' list and a 'splits' object"),
+    ("splits-a-list", '{"samples": [], "splits": []}',
+     "needs a 'samples' list and a 'splits' object"),
+    ("unknown-sample", '{"samples": [], "splits": {"train": ["x"]}}',
+     "split 'train' names unknown sample 'x'"),
+    ("sample-without-mask",
+     '{"samples": [{"id": "x", "image": "x.f32g"}], "splits": {"train": ["x"]}}',
+     "each sample needs a string 'id', 'image' and 'mask'"),
+    ("id-not-a-string", '{"samples": [{"id": [1], "image": "a", "mask": "b"}], "splits": {}}',
+     "each sample needs a string 'id', 'image' and 'mask'"),
+    ("split-names-a-list", '{"samples": [], "splits": {"train": [["x"]]}}',
+     "split 'train' names unknown sample ['x']"),
+]
 
 
 def train_case(case_id, setup, err):
@@ -138,13 +248,45 @@ def train_case(case_id, setup, err):
     return Case(case_id, TRAIN.format("one.cfg"), 2, err, (*DS, *setup), NO_MODEL)
 
 
+def ablate_case(case_id, setup, err):
+    """An ablate row on ds/standard and ds/tiny, damaged by setup, that must exit 2 with err."""
+    return Case(case_id, ABLATE, 2, err, (ONE_EPOCH, *setup), ("ablation.csv",))
+
+
 CASES = [
+    Case("usage-help", "perturb --help", 0),
+    Case("usage-missing-flags", "perturb", 1,
+         "perturb: the following arguments are required: --mask, --out"),
+    Case("usage-bad-type", "eval --gt a.pgm --pred b.pgm --tau x --out bad.json", 1,
+         "eval: argument --tau: invalid float value: 'x'", absent=("bad.json",)),
+    Case("usage-unknown-command", "no-such-command", 1,
+         "argument command: invalid choice: 'no-such-command' "
+         "(choose from 'perturb', 'eval', 'gen', 'train', 'ablate', 'preprocess')"),
+    Case("usage-unrecognized-argument", "perturb --mask m.pgm --out bad.csv --bogus 1", 1,
+         "unrecognized arguments: --bogus 1", absent=("bad.csv",)),
     Case("gen", "gen --suite standard --n 10 --grid 32 --seed 0 --out-dir ds", 0,
          check=gen_layout),
+    *(Case(f"gen-{case_id}", f"gen {flags} --out-dir out", 1, err, absent=("out",))
+      for case_id, flags, err in [
+          ("n", "--n 5", "n must be >= 10 so every split is nonempty, got 5"),
+          ("tiny-grid", "--suite tiny --grid 48 --n 10",
+           "grid must be >= 60 for the tiny suite, got 48"),
+          ("negative-grid", "--grid -5 --n 10",
+           "grid must be >= 13 for the standard suite, got -5"),
+          ("standard-grid", "--suite standard --grid 6 --n 10",
+           "grid must be >= 13 for the standard suite, got 6"),
+          ("negative-seed", "--seed -1 --n 10", "seed must be >= 0, got -1")]),
     Case("eval", f"{EVAL} --tau 2 --out eval.json", 0, setup=DS, same={"eval.json": EVAL_JSON}),
     Case("eval-rewrites-a-longer-output", f"{EVAL} --tau 2 --out over.json", 0,
          setup=(*DS, write("over.json", b"longer than the result " * 200)),
          same={"over.json": EVAL_JSON}),
+    Case("eval-identical-masks", "eval --gt mask.pgm --pred mask.pgm --out eval.json", 0,
+         setup=(MASK,), check=holds("eval.json", schema_version=1, dsc=1.0, nsd=1.0,
+                                    gt_pixels=160, pred_pixels=160)),
+    Case("eval-singletons-within-tau", "eval --gt g.pgm --pred s.pgm --tau 3 --out eval.json", 0,
+         setup=SINGLETONS, check=holds("eval.json", dsc=0.0, nsd=1.0)),
+    Case("eval-singletons-beyond-tau", "eval --gt g.pgm --pred s.pgm --tau 2.5 --out eval.json",
+         0, setup=SINGLETONS, check=holds("eval.json", dsc=0.0, nsd=0.0)),
     Case("eval-tau-inf", f"{EVAL} --tau inf --out inf.json", 0, setup=DS,
          check=holds("inf.json", nsd=1.0, tau="inf")),
     Case("eval-tau-1e9", f"{EVAL} --tau 1e9 --out far.json", 0, setup=DS,
@@ -164,8 +306,24 @@ CASES = [
     Case("eval-pixel-above-maxval", "eval --gt over.pgm --pred ds/mask_0001.pgm --out out.json",
          2, "MalformedFile: over.pgm: pixel value outside 0..maxval",
          (*DS, write("over.pgm", b"P5\n2 1\n200\n\x00\xc9")), ("out.json",)),
+    Case("eval-dimension-mismatch", "eval --gt mask.pgm --pred other.pgm --out eval.json", 2,
+         "DimensionMismatch: mask sizes differ: mask.pgm is 32x32, other.pgm is 8x6",
+         (MASK, mask("other.pgm", (6, 8))), ("eval.json",)),
     Case("eval-missing-output-dir", f"{EVAL} --out nodir/eval.json", 2,
          "FileNotFoundError: output directory nodir does not exist", DS, ("nodir",)),
+    Case("perturb-zero-config", "perturb --mask mask.pgm --config zero.cfg --n 5 --seed 1 "
+         "--out out.csv", 0, setup=(MASK, write("zero.cfg", b"eps_shrink = 0\ndelta_expand = 0\n")),
+         check=draws(5, box=[8.0, 10.0, 24.0, 20.0])),
+    Case("perturb-raw-offsets", "perturb --mask mask.pgm --config raw.cfg --n 3 --out out.csv", 0,
+         setup=(MASK, write("raw.cfg", b"scale_by_target = false\n")),
+         check=every(draws(3, offsets=[-20.0, -20.0, 20.0, 20.0]),
+                     has_line("out.csv", "# scale_by_target = False"))),
+    Case("perturb-stats", "perturb --mask mask.pgm --n 40 --seed 8 --stats --out out.csv", 0,
+         setup=(MASK,), check=every(draws(40), stats_line)),
+    *(Case(f"perturb-n={n}", f"perturb --mask mask.pgm --n {n} --stats --out out.csv", 1,
+           f"--n must be >= 1, got {n}", (MASK,), ("out.csv",)) for n in (0, -3)),
+    Case("perturb-negative-seed", "perturb --mask missing.pgm --seed -2 --out out.csv", 1,
+         "--seed must be >= 0, got -2", absent=("out.csv",)),
     Case("perturb-empty-mask", "perturb --mask empty.pgm --out draws.csv", 2,
          "EmptyMask: empty.pgm: cannot derive a box from an empty mask", (EMPTY_MASK,),
          ("draws.csv",)),
@@ -175,6 +333,19 @@ CASES = [
     Case("perturb-bad-mask-header", "perturb --mask bad.pgm --out draws.csv", 2,
          "MalformedFile: bad.pgm: non-numeric PGM header token b'x'",
          (write("bad.pgm", BAD_HEADER),), ("draws.csv",)),
+    Case("preprocess-window-ends", "preprocess --in in.f32g --window -360 440 --out out.f32g", 0,
+         setup=(write("in.f32g", f32g(2, 2, -360, 440, 40, 1000)),),
+         check=grid(lambda out: out.tolist() == [[0.0, 1.0], [0.5, 1.0]])),
+    Case("preprocess-window-and-resize",
+         "preprocess --in in.f32g --window -1000 400 --resize 8 8 --out out.f32g", 0,
+         setup=(write("in.f32g", f32g(4, 4, *np.linspace(-1200, 600, 16))),),
+         check=grid(lambda out: out.shape == (8, 8) and 0 <= out.min() <= out.max() <= 1)),
+    Case("preprocess-quiet-nan", PREPROCESS, 0, check=NAN_THEN_HALF,
+         setup=(write("in.f32g", f32g(2, 1, math.nan, 0.5)),)),
+    Case("preprocess-signaling-nan", PREPROCESS, 0, check=NAN_THEN_HALF, setup=(
+        write("in.f32g", f32g(2, 1)[:16] + struct.pack("<If", 0x7fa00001, 0.5)),)),
+    Case("preprocess-resize-zero", f"{PREPROCESS} --resize 0 5", 1,
+         "output dimensions must be >= 1", (GRID,), ("out.f32g",)),
     Case("preprocess-truncated-grid", "preprocess --in cut.f32g --window 0 1 --out out.f32g", 2,
          "MalformedFile: cut.f32g: payload is 24 bytes, header implies 4096",
          (write("cut.f32g", f32g(32, 32)[:40]),), ("out.f32g",)),
@@ -190,6 +361,11 @@ CASES = [
          "InvalidWindow: window requires finite w_lo < w_hi, got (440.0, -360.0)", (GRID,),
          ("out.f32g",)),
     Case("train", TRAIN.format("one.cfg"), 0, setup=DS, check=six_finite_weights),
+    Case("train-history-round-trips", TRAIN.format("run.cfg"), 0, check=history_round_trips,
+         setup=(gen(seed=6), write(
+             "run.cfg", b"epochs = 6\nlr = 0.3\nscheduler_patience = 1\nseed = 2\n"))),
+    Case("train-missing-dataset", "train --data-dir nope --out model.json --history history.csv",
+         2, "EmptyDataset: no manifest.json in nope", absent=NO_MODEL),
     Case("train-missing-output-dir",
          "train --data-dir ds --config one.cfg --out model.json --history nodir/history.csv", 2,
          "FileNotFoundError: output directory nodir does not exist", DS, ("model.json", "nodir")),
@@ -213,17 +389,63 @@ CASES = [
                "EmptyDataset: ds: empty train split"),
     train_case("train-empty-val-split", [splits(lambda s: s["val"].clear())],
                "EmptyDataset: ds: empty val split"),
+    *(train_case(f"train-manifest-{case_id}", [write("ds/manifest.json", manifest.encode())],
+                 f"MalformedFile: ds/manifest.json: {err}") for case_id, manifest, err in MANIFESTS),
     Case("train-config-sets-seed-twice", TRAIN.format("twice.cfg"), 1,
          "twice.cfg:2: seed is already set", (*DS, write("twice.cfg", b"seed = 1\nseed = 2\n")),
          NO_MODEL),
     Case("train-config-not-utf-8", TRAIN.format("bad.cfg"), 1,
          "bad.cfg:2: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte",
          (*DS, write("bad.cfg", b"epochs = 1\nseed = \xff\n")), NO_MODEL),
+    # The config is read before the (missing) dataset.
+    *(Case(f"train-config-{case_id}",
+           "train --data-dir nowhere --config bad.cfg --out model.json --history history.csv", 1,
+           f"bad.cfg:{err}", (write("bad.cfg", text.encode()),), NO_MODEL)
+      for case_id, text, err in [
+          ("unknown-key", "bogus_key = 1\n", "1: unknown config key 'bogus_key'"),
+          ("perturber", "perturber = bogus\n", "1: unknown config key 'perturber'"),
+          ("no-equals", "epochs 3\n", "1: expected `key = value`"),
+          ("float-seed", "seed = 1.5\n", "1: seed: expected int, got '1.5'"),
+          ("zero-epochs", "lr = 0.5\nepochs = 0\n", "2: epochs: epochs must be >= 1"),
+          ("positive-eps-shrink", "eps_shrink = 5\n",
+           "1: eps_shrink: eps_shrink must be <= 0 and delta_expand >= 0"),
+          ("non-bool", "# bools\nscale_by_target = yes\n",
+           "2: scale_by_target: expected bool, got 'yes'"),
+          ("prompt-frac-range", "prompt_frac = 0.5\n",
+           "1: prompt_frac: prompt_frac must be in [0, 0.4], got 0.5"),
+          ("non-finite", "delta_expand = nan\n",
+           "1: delta_expand: expected a finite float, got 'nan'"),
+          ("negative-lam", "lam = -1\n", "1: lam: lam must be >= 0"),
+          ("negative-lr", "lr = -0.5\n", "1: lr: lr must be > 0"),
+          ("zero-lr", "epochs = 2\nlr = 0\n", "2: lr: lr must be > 0"),
+          ("negative-min-lr", "min_lr = -1\n", "1: min_lr: min_lr must be >= 0"),
+          ("negative-seed", "seed = -1\n", "1: seed: seed must be >= 0")]),
+    Case("ablate-schema", "ablate --data-dir ds --config two.cfg --out ablation.csv", 0,
+         setup=(gen("ds/standard", "standard", 48, 4), gen("ds/tiny", "tiny", 64, 5),
+                write("two.cfg", b"epochs = 2\n")),
+         check=ablation_schema),
+    # Checked before any data is read: there is no data directory.
+    *(Case(f"ablate-error-dsc-threshold={threshold}",
+           f"ablate --data-dir nowhere --out ablation.csv --error-dsc-threshold {threshold}", 1,
+           f"--error-dsc-threshold must be in (0, 1], got {float(threshold)}",
+           absent=("ablation.csv",)) for threshold in ("nan", "-1", "2", "0")),
+    # The standard suite is loaded first, so it is the one named when both are missing.
     Case("ablate-missing-suite-keeps-output", "ablate --data-dir nowhere --out keep.csv", 2,
          "EmptyDataset: no manifest.json in nowhere/standard", (write("keep.csv", KEPT),),
          same={"keep.csv": KEPT}),
+    *(ablate_case(f"ablate-missing-{missing}", [gen(f"ds/{present}", present, 64, 4)],
+                  f"EmptyDataset: no manifest.json in ds/{missing}")
+      for present, missing in (("standard", "tiny"), ("tiny", "standard"))),
+    *(ablate_case(f"ablate-empty-{name}-test-split",
+                  [*SUITES, splits(lambda s: s["test"].clear(), f"ds/{name}/manifest.json")],
+                  f"EmptyDataset: ds/{name}: empty test split") for name in ("standard", "tiny")),
+    ablate_case("ablate-test-sample-in-train",
+                [*SUITES, splits(lambda s: s["test"].append(s["train"][0]),
+                                 "ds/tiny/manifest.json")],
+                "MalformedFile: ds/tiny/manifest.json: "
+                "split 'test' names sample '0000', already in split 'train'"),
     Case("ablate-missing-output-dir", "ablate --data-dir ds --out nodir/ablation.csv", 2,
-         "FileNotFoundError: output directory nodir does not exist", (suites,), ("nodir",)),
+         "FileNotFoundError: output directory nodir does not exist", SUITES, ("nodir",)),
 ]
 
 
