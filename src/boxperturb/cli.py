@@ -79,7 +79,7 @@ def _parse_value(text: str, default):
 
 
 def read_run_config(path=None) -> RunConfig:
-    """Parse a UTF-8, INI-style `key = value` file; unknown and repeated keys are rejected.
+    """Parse a UTF-8 (BOM allowed) `key = value` file; unknown and repeated keys are rejected.
 
     Missing keys take the dataclass defaults; a missing path yields the
     pure defaults.  Each value is checked as its line is read, so an
@@ -91,7 +91,7 @@ def read_run_config(path=None) -> RunConfig:
     defaults = config.values()
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         lineno = e.object.count(b"\n", 0, e.start) + 1
         raise ValueError(f"{path}:{lineno}: {e}") from None

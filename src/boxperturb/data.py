@@ -288,17 +288,18 @@ def read_f32_grid(path) -> np.ndarray:
         if len(data) - 16 != expected:
             raise MalformedFile(
                 f"payload is {len(data) - 16} bytes, header implies {expected}")
-        values = np.frombuffer(data[16:], dtype="<f4")
+        values = np.frombuffer(data, dtype="<f4", offset=16)  # a view; astype is the one copy
         return values.reshape(height, width).astype(np.float32)
 
 
 def write_f32_grid(path, grid: np.ndarray):
-    grid = np.asarray(grid, dtype=np.float32)
+    """Write grid as F32G; a C-contiguous little-endian float32 grid is written without a copy."""
+    grid = np.ascontiguousarray(grid, dtype="<f4")
     h, w = grid.shape
     with open(path, "wb") as f:
         f.write(F32G_MAGIC)
         f.write(struct.pack("<III", w, h, 0))
-        f.write(grid.astype("<f4").tobytes())
+        f.write(grid)
 
 
 # --- On-disk dataset layout: numbered image/mask pairs plus a manifest ---

@@ -84,9 +84,8 @@ def combined_loss_into(s: np.ndarray, g: np.ndarray, tmp: np.ndarray,
     b = float(-np.mean(np.log(tmp, out=tmp)))
     # sum(g * g) counts the mask exactly, so it needs no array.
     denom = float(np.count_nonzero(g) + np.multiply(s, s, out=tmp).sum())
-    tmp.fill(0.0)
-    np.copyto(tmp, s, where=g)
-    overlap = float(tmp.sum())
+    # s * True is s and s * False is +0, so this sums s where g is set.
+    overlap = float(np.multiply(s, g, out=tmp).sum())
     d = 1.0 - 2.0 * overlap / denom
     report = LossReport(bce=b, dice=d, combined=b + d)
     if grad_out is None:
@@ -97,12 +96,11 @@ def combined_loss_into(s: np.ndarray, g: np.ndarray, tmp: np.ndarray,
     var *= s
     grad_out /= var
     grad_out /= s.size
-    # Dice term -2 (g denom - 2 overlap s) / denom^2; the bracket is
-    # denom - 2 overlap s where g is set and -2 overlap s elsewhere.
-    np.multiply(s, overlap * 2.0, out=tmp)
-    np.negative(tmp, out=tmp)
-    np.add(tmp, denom, out=tmp, where=g)
-    tmp *= -2.0
+    # Dice term -2 (g denom - 2 overlap s) / denom^2, as 4 overlap s - 2 denom
+    # where g is set and 4 overlap s elsewhere: scaling by 2 and negation are
+    # exact, and fl(a - b) = -fl(b - a).
+    np.multiply(s, overlap * 4.0, out=tmp)
+    np.subtract(tmp, denom * 2.0, out=tmp, where=g)
     tmp /= denom * denom
     grad_out += tmp
     return report

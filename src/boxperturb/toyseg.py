@@ -99,14 +99,15 @@ class TrainConfig:
 
 
 def _axis(n: int, lo: float, hi: float, half: float):
-    """Pixel centers c on one axis, their in-box distance e (negative
-    outside), a = max(-e, 0), the run where e >= 0, and a window run that
-    holds every center with a <= half (padded by a pixel against rounding)."""
+    """Pixel centers c on one axis, f = clip(e / half, -1, 1) for their in-box
+    distance e (negative outside), a = max(-e, 0), the run where e >= 0, and a
+    window run holding every center with a <= half (padded by a pixel against rounding)."""
     c = np.arange(n, dtype=np.float64) + 0.5
     e = np.minimum(c - lo, hi - c)
     start, cut = c.searchsorted((lo - half - 1.0, lo))
     stop, end = c.searchsorted((hi, hi + half + 1.0), "right")
-    return c, e, np.maximum(-e, 0.0), slice(cut, stop), slice(start, end)
+    return (c, np.clip(e / half, -1.0, 1.0), np.maximum(-e, 0.0),
+            slice(cut, stop), slice(start, end))
 
 
 def _feature_parts(image: np.ndarray, box: BoundingBox,
@@ -121,31 +122,31 @@ def _feature_parts(image: np.ndarray, box: BoundingBox,
     more than `half` outside the box on one axis is more than `half` from
     it, so `signed` there clips to exactly -1: any window that holds every
     pixel with signed > -1 gives exact values, and only such a window is
-    computed.  In it hypot(ax, ay) is ax + ay wherever one of them is 0,
-    so hypot runs only on the corner blocks.
+    computed.  Where e >= 0 on either axis, signed is min(fx, fy): inside the
+    box because division and clipping are monotone, and on a side strip
+    because the outside axis's -e is the whole distance out, so its f is the
+    lesser; e is never -0, so zeros keep their sign.  Only the corner blocks
+    take -hypot(ax, ay) / half.
     """
     image = np.asarray(image)
     h, w = image.shape
     if not box.within_image(w, h):
         raise BoxOutOfBounds(f"box exceeds image extent {w}x{h}")
     half = 0.5 * min(box.width, box.height)
-    px, ex, ax, cols, wcols = _axis(w, box.x_min, box.x_max, half)
-    py, ey, ay, rows, wrows = _axis(h, box.y_min, box.y_max, half)
+    px, fx, ax, cols, wcols = _axis(w, box.x_min, box.x_max, half)
+    py, fy, ay, rows, wrows = _axis(h, box.y_min, box.y_max, half)
 
     work.inside.fill(0.0)
     work.inner = rows, cols
     work.inside[rows, cols] = 1.0
 
-    outside = np.add(ax[None, wcols], ay[wrows, None], out=work.t[wrows, wcols])
+    work.signed.fill(-1.0)
+    np.minimum(fx[None, wcols], fy[wrows, None], out=work.signed[wrows, wcols])
     for r in (slice(wrows.start, rows.start), slice(rows.stop, wrows.stop)):
         for c in (slice(wcols.start, cols.start), slice(cols.stop, wcols.stop)):
-            np.hypot(ax[None, c], ay[r, None], out=work.t[r, c])
-    work.signed.fill(-1.0)
-    signed = np.minimum(ex[None, wcols], ey[wrows, None], out=work.signed[wrows, wcols])
-    np.maximum(signed, 0.0, out=signed)
-    signed -= outside
-    signed /= half
-    np.clip(signed, -1.0, 1.0, out=signed)
+            # Divided by -half, not negated: numpy 2.4.6 negates a strided view in place wrongly.
+            corner = np.hypot(ax[None, c], ay[r, None], out=work.signed[r, c])
+            np.maximum(np.divide(corner, -half, out=corner), -1.0, out=corner)
 
     bcx, bcy = box.center
     return (np.ones((1, 1)), image, work.inside, work.signed,
@@ -181,13 +182,12 @@ def _forward(model: ToyModel, image: np.ndarray, box: BoundingBox):
     z[work.inner] += w2
     for weight, part in ((w3, signed), (w4, cx), (w5, cy)):
         z += np.multiply(part, weight, out=work.t[:part.shape[0], :part.shape[1]])
-    # Logistic without overflow: 1/(1+e) for z >= 0 and e/(1+e) below, e = exp(-|z|).
-    neg = np.less(z, 0.0, out=work.mask_a)
-    nonneg = np.logical_not(neg, out=work.mask_b)
-    np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    # Logistic without overflow: e/(1+e) for z < 0 and 1/(1+e) elsewhere, e = exp(-|z|).
+    nonneg = np.greater_equal(z, 0.0, out=work.mask_a)
+    np.exp(np.copysign(z, -1.0, out=z), out=z)
     np.add(z, 1.0, out=work.t)
-    np.divide(z, work.t, out=z, where=neg)
-    np.divide(1.0, work.t, out=z, where=nonneg)
+    np.copyto(z, 1.0, where=nonneg)
+    np.divide(z, work.t, out=z)
     np.clip(z, loss_mod.CLIP_EPS, 1.0 - loss_mod.CLIP_EPS, out=z)
     return work, parts
 

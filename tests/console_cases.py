@@ -318,6 +318,9 @@ CASES = [
          setup=(MASK, write("raw.cfg", b"scale_by_target = false\n")),
          check=every(draws(3, offsets=[-20.0, -20.0, 20.0, 20.0]),
                      has_line("out.csv", "# scale_by_target = False"))),
+    Case("perturb-config-with-bom", "perturb --mask mask.pgm --config bom.cfg --n 2 --out out.csv",
+         0, setup=(MASK, write("bom.cfg", b"\xef\xbb\xbfepochs = 1\n")),
+         check=every(draws(2), has_line("out.csv", "# epochs = 1"))),
     Case("perturb-stats", "perturb --mask mask.pgm --n 40 --seed 8 --stats --out out.csv", 0,
          setup=(MASK,), check=every(draws(40), stats_line)),
     *(Case(f"perturb-n={n}", f"perturb --mask mask.pgm --n {n} --stats --out out.csv", 1,

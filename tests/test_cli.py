@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from boxperturb import data as data_mod
-from boxperturb import toyseg
+from boxperturb import cli, toyseg
 from boxperturb.cli import build_parser, main, read_run_config
 from console_cases import CASES, MANIFESTS, verify
 
@@ -170,16 +170,23 @@ def test_train_and_history(tmp_path):
     assert model1.read_bytes() == model2.read_bytes()
 
 
-def test_failed_train_removes_the_model_it_wrote(tmp_path, capsys):
+def test_failed_train_removes_the_model_it_wrote(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "ds"
     assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
                "--out-dir", str(data_dir)) == 0
     cfg = tmp_path / "one.cfg"
     cfg.write_text("epochs = 1\n")
     model = tmp_path / "m.json"
+
+    def failing_history(path, *args, **kwargs):
+        assert model.exists(), "the history is written after the model"
+        raise OSError("no space left for the history")
+
+    monkeypatch.setattr(cli, "_write_csv", failing_history)
+    capsys.readouterr()
     assert run("train", "--data-dir", str(data_dir), "--config", str(cfg), "--out", str(model),
-               "--history", str(tmp_path / "missing" / "h.csv")) == 2
-    assert capsys.readouterr().err.startswith("boxperturb: FileNotFoundError: ")
+               "--history", str(tmp_path / "h.csv")) == 2
+    assert capsys.readouterr().err == "boxperturb: OSError: no space left for the history\n"
     assert not model.exists()
 
 

@@ -320,6 +320,24 @@ def test_f32g_round_trip_bit_exact(tmp_path):
         assert back.tobytes() == grid.tobytes()
 
 
+def test_f32g_io_makes_no_extra_payload_copies(tmp_path):
+    grid = make_rng(605).normal(size=(1024, 1024)).astype(np.float32)
+    path = tmp_path / "big.f32g"
+    peaks = []
+    for io in (lambda: data_mod.write_f32_grid(path, grid), lambda: data_mod.read_f32_grid(path)):
+        tracemalloc.start()
+        try:
+            io()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    write_peak, read_peak = peaks
+    # Writing a float32 grid copies nothing; reading holds the file's bytes
+    # and the grid.  One more copy of the payload breaks either bound.
+    assert write_peak <= 1.2 * grid.nbytes
+    assert read_peak <= 2.2 * grid.nbytes
+
+
 def test_f32g_nan_payload_round_trip(tmp_path):
     grid = np.array([[np.nan, -360.0], [np.inf, 0.0]], dtype=np.float32)
     path = tmp_path / "nan.f32g"

@@ -112,14 +112,23 @@ def test_featurize_matches_four_way_formula(shape, box):
     assert toyseg.featurize(image, box).tobytes() == four_way_featurize(image, box).tobytes()
 
 
+def _center_edges(n):
+    """Box edges through the pixel centers k + 0.5 of an axis of n pixels,
+    where e is exactly +0, and the far image edge n."""
+    return np.minimum(np.arange(n + 1) + 0.5, n)
+
+
 def test_featurize_matches_four_way_formula_random_boxes():
-    for i in range(200):
+    for i in range(300):
         rng = make_rng(504, i)
         h, w = (int(v) for v in rng.integers(1, 30, 2))
         image = rng.random((h, w))
-        if i % 2:  # pixel-edge boxes
+        if i % 3 == 1:  # pixel-edge boxes
             x0, x1 = sorted(rng.choice(w + 1, 2, replace=False))
             y0, y1 = sorted(rng.choice(h + 1, 2, replace=False))
+        elif i % 3 == 2:  # pixel-center boxes
+            x0, x1 = sorted(rng.choice(_center_edges(w), 2, replace=False))
+            y0, y1 = sorted(rng.choice(_center_edges(h), 2, replace=False))
         else:
             x0, x1 = sorted(rng.uniform(0, w, 2))
             y0, y1 = sorted(rng.uniform(0, h, 2))
@@ -225,8 +234,8 @@ def test_weight_gradient_matches_feature_tensor():
 
 def _exactness_boxes(rng, h, w):
     """Boxes flush with each image edge, covering no pixel center (on one
-    axis or both), the whole image, and random pixel-edge and fractional
-    boxes, in a random order."""
+    axis or both), the whole image, and random pixel-edge, pixel-center
+    and fractional boxes, in a random order."""
     cx, cy = w // 2, h // 2
     boxes = [(0, 0.3 * h, 0.5 * w, 0.7 * h), (0.3 * w, 0, 0.7 * w, 0.5 * h),
              (0.5 * w, 0.3 * h, w, 0.7 * h), (0.3 * w, 0.5 * h, 0.7 * w, h),
@@ -236,6 +245,9 @@ def _exactness_boxes(rng, h, w):
     for _ in range(40):
         x0, x1 = sorted(rng.choice(w + 1, 2, replace=False))
         y0, y1 = sorted(rng.choice(h + 1, 2, replace=False))
+        boxes.append((x0, y0, x1, y1))
+        x0, x1 = sorted(rng.choice(_center_edges(w), 2, replace=False))
+        y0, y1 = sorted(rng.choice(_center_edges(h), 2, replace=False))
         boxes.append((x0, y0, x1, y1))
         x0, x1 = sorted(rng.uniform(0, w, 2))
         y0, y1 = sorted(rng.uniform(0, h, 2))
