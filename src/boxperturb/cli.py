@@ -1,8 +1,9 @@
 """Batch command-line front door.
 
-Subcommands: perturb, eval, gen, train, ablate, preprocess.  Every
-output artifact embeds the fully-resolved configuration and a schema
-version; all commands are deterministic given their flags and seeds.
+Subcommands: perturb, eval, gen, train, ablate, preprocess.  The CSVs
+embed a schema version and every config key, the model its schema version
+and training config, the eval JSON its schema version and tau, the gen
+manifest its schema version, suite, grid and seed, and F32G grids neither.
 Exit codes: 0 success, 1 usage error or bad value, 2 data/I-O error.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -91,7 +93,7 @@ def read_run_config(path=None) -> RunConfig:
     defaults = config.values()
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         lineno = e.object.count(b"\n", 0, e.start) + 1
         raise ValueError(f"{path}:{lineno}: {e}") from None
@@ -305,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", action="store_true")
-    p.set_defaults(func=cmd_perturb, outputs=lambda a: [a.out])
+    p.set_defaults(func=cmd_perturb, outputs=("out",))
 
     p = sub.add_parser("eval", help="DSC/NSD of a prediction vs ground truth")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--tau", type=float, default=2.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval, outputs=lambda a: [a.out])
+    p.set_defaults(func=cmd_eval, outputs=("out",))
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--suite", choices=("standard", "tiny"), default="standard")
@@ -320,21 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_gen, outputs=lambda a: [])
+    p.set_defaults(func=cmd_gen, outputs=())
 
     p = sub.add_parser("train", help="train the toy segmenter")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--history", required=True)
-    p.set_defaults(func=cmd_train, outputs=lambda a: [a.out, a.history])
+    p.set_defaults(func=cmd_train, outputs=("out", "history"))
 
     p = sub.add_parser("ablate", help="run the ablation table")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--error-dsc-threshold", type=float, default=0.5)
-    p.set_defaults(func=cmd_ablate, outputs=lambda a: [a.out])
+    p.set_defaults(func=cmd_ablate, outputs=("out",))
 
     p = sub.add_parser("preprocess", help="window/normalize and resample a grid")
     p.add_argument("--in", dest="infile", required=True)
@@ -343,18 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resize", type=int, nargs=2, default=None,
                    metavar=("W", "H"))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_preprocess, outputs=lambda a: [a.out])
+    p.set_defaults(func=cmd_preprocess, outputs=("out",))
 
     return parser
-
-
-def _stamp(path: Path):
-    """(inode, size, mtime) of the file at path, or None if there is none."""
-    try:
-        st = path.stat()
-    except OSError:
-        return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def main(argv=None) -> int:
@@ -363,21 +356,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
-    outputs = {path: _stamp(path) for path in map(Path, args.outputs(args))}
+    temps = {}  # each output's hidden sibling, which the command writes -> the output
     try:
-        for path in outputs:  # fail before any work, not after it
+        for dest in args.outputs:  # fail before any work, not after it
+            path = Path(getattr(args, dest))
             if not path.parent.is_dir():
                 raise FileNotFoundError(f"output directory {path.parent} does not exist")
-        return args.func(args)
+            if path.is_dir():
+                raise IsADirectoryError(f"output {path} is a directory")
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            setattr(args, dest, str(temp))
+            temps[temp] = path
+        code = args.func(args)
+        for temp, path in temps.items():  # only once every output is written
+            os.replace(temp, path)
+        return code
     except (BoxPerturbError, OSError, RuntimeError) as e:  # before its base, ValueError
         message, code = f"{type(e).__name__}: {e}", 2
     except MemoryError as e:  # numpy raises a private subclass; name the public class
         message, code = f"MemoryError: {e}", 2
     except ValueError as e:  # a bad flag, config value, size or other value
         message, code = str(e), 1
-    for path, stamp in outputs.items():  # remove only what this run created or changed
-        if _stamp(path) != stamp:
-            path.unlink(missing_ok=True)
+    for temp in temps:  # every output keeps its old bytes, or stays absent
+        temp.unlink(missing_ok=True)
     print(f"boxperturb: {message}", file=sys.stderr)
     return code
 

@@ -311,6 +311,7 @@ def save_dataset(split: DatasetSplit, out_dir, suite: str, grid: int, seed: int)
     """Write image (F32G) / mask (PGM) pairs and a manifest with the splits."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)  # so a dataset cut short has none
     names = {"train": split.train, "val": split.val, "test": split.test}
     manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "suite": suite,
                 "grid": grid, "seed": seed, "splits": {}, "samples": []}
@@ -331,9 +332,7 @@ def save_dataset(split: DatasetSplit, out_dir, suite: str, grid: int, seed: int)
             ids.append(stem)
             index += 1
         manifest["splits"][split_name] = ids
-    with open(out / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest_splits(manifest) -> dict[str, list[dict]]:

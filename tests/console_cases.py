@@ -54,6 +54,7 @@ def verify(case: Case, root: Path, code: int, stderr: str) -> list[str]:
     if stderr != want:
         problems.append(f"stderr {stderr!r}, want {want!r}")
     problems += [f"{name} exists" for name in case.absent if (root / name).exists()]
+    problems += [f"{temp.relative_to(root)} is left behind" for temp in root.rglob(".*.tmp")]
     problems += [f"{name} does not hold {content[:40]!r}..." for name, content in case.same.items()
                  if not (root / name).is_file() or (root / name).read_bytes() != content]
     if case.check is not None and not problems:
@@ -78,6 +79,11 @@ def write(name: str, content: bytes):
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_bytes(content)
     return step
+
+
+def directory(name: str):
+    """A step that makes the directory name."""
+    return lambda root: (root / name).mkdir()
 
 
 def mask(name: str, shape, rows=slice(0), cols=slice(0)):
@@ -369,6 +375,10 @@ CASES = [
              "run.cfg", b"epochs = 6\nlr = 0.3\nscheduler_patience = 1\nseed = 2\n"))),
     Case("train-missing-dataset", "train --data-dir nope --out model.json --history history.csv",
          2, "EmptyDataset: no manifest.json in nope", absent=NO_MODEL),
+    Case("train-history-is-a-directory",
+         "train --data-dir ds --config one.cfg --out m.json --history hdir", 2,
+         "IsADirectoryError: output hdir is a directory",
+         (*DS, write("m.json", KEPT), directory("hdir")), same={"m.json": KEPT}),
     Case("train-missing-output-dir",
          "train --data-dir ds --config one.cfg --out model.json --history nodir/history.csv", 2,
          "FileNotFoundError: output directory nodir does not exist", DS, ("model.json", "nodir")),
@@ -400,6 +410,9 @@ CASES = [
     Case("train-config-not-utf-8", TRAIN.format("bad.cfg"), 1,
          "bad.cfg:2: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte",
          (*DS, write("bad.cfg", b"epochs = 1\nseed = \xff\n")), NO_MODEL),
+    Case("train-config-bom-not-utf-8", TRAIN.format("bad.cfg"), 1,
+         "bad.cfg:2: 'utf-8' codec can't decode byte 0xff in position 21: invalid start byte",
+         (*DS, write("bad.cfg", b"\xef\xbb\xbfepochs = 1\nseed = \xff\n")), NO_MODEL),
     # The config is read before the (missing) dataset.
     *(Case(f"train-config-{case_id}",
            "train --data-dir nowhere --config bad.cfg --out model.json --history history.csv", 1,

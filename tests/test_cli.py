@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,7 +13,8 @@ import pytest
 from boxperturb import data as data_mod
 from boxperturb import cli, toyseg
 from boxperturb.cli import build_parser, main, read_run_config
-from console_cases import CASES, MANIFESTS, verify
+from boxperturb.errors import EmptyDataset
+from console_cases import CASES, KEPT, MANIFESTS, ONE_EPOCH, gen, verify, write
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -170,16 +175,18 @@ def test_train_and_history(tmp_path):
     assert model1.read_bytes() == model2.read_bytes()
 
 
-def test_failed_train_removes_the_model_it_wrote(tmp_path, capsys, monkeypatch):
+def test_failed_train_keeps_the_old_model(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "ds"
     assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
                "--out-dir", str(data_dir)) == 0
     cfg = tmp_path / "one.cfg"
     cfg.write_text("epochs = 1\n")
     model = tmp_path / "m.json"
+    model.write_bytes(KEPT)
 
     def failing_history(path, *args, **kwargs):
-        assert model.exists(), "the history is written after the model"
+        temp = tmp_path / f".m.json.{os.getpid()}.tmp"
+        assert temp.exists(), "the history is written after the model's temporary"
         raise OSError("no space left for the history")
 
     monkeypatch.setattr(cli, "_write_csv", failing_history)
@@ -187,7 +194,54 @@ def test_failed_train_removes_the_model_it_wrote(tmp_path, capsys, monkeypatch):
     assert run("train", "--data-dir", str(data_dir), "--config", str(cfg), "--out", str(model),
                "--history", str(tmp_path / "h.csv")) == 2
     assert capsys.readouterr().err == "boxperturb: OSError: no space left for the history\n"
-    assert not model.exists()
+    assert model.read_bytes() == KEPT
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ds", "m.json", "one.cfg"]
+
+
+# Run in a child process: train, killed as it starts to write the history.
+KILLED_TRAIN = """
+import os, signal
+from boxperturb import cli
+cli._write_csv = lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL)
+cli.main("train --data-dir ds --config one.cfg --out m.json --history h.csv".split())
+"""
+
+
+def test_killed_train_leaves_each_output_whole(tmp_path):
+    for step in (gen(), ONE_EPOCH, write("m.json", KEPT), write("h.csv", KEPT + b"h")):
+        step(tmp_path)
+    before = {path.name for path in tmp_path.iterdir()}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", KILLED_TRAIN], cwd=tmp_path, env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    assert (tmp_path / "m.json").read_bytes() == KEPT
+    assert (tmp_path / "h.csv").read_bytes() == KEPT + b"h"
+    new = [path.name for path in tmp_path.iterdir() if path.name not in before]
+    assert [name for name in new if not re.fullmatch(r"\.m\.json\.\d+\.tmp", name)] == []
+
+
+def test_failed_gen_leaves_a_dataset_that_load_dataset_rejects(tmp_path, capsys, monkeypatch):
+    data_dir = tmp_path / "ds"
+    gen_argv = ["gen", "--n", "10", "--grid", "32", "--out-dir", str(data_dir)]
+    assert run(*gen_argv, "--seed", "0") == 0
+    masks = []
+    write_mask = data_mod.write_mask_pgm
+
+    def third_mask_fails(path, mask):
+        masks.append(path)
+        if len(masks) == 3:
+            raise OSError("no space left for the third mask")
+        write_mask(path, mask)
+
+    monkeypatch.setattr(data_mod, "write_mask_pgm", third_mask_fails)
+    capsys.readouterr()
+    assert run(*gen_argv, "--seed", "1") == 2
+    assert capsys.readouterr().err == "boxperturb: OSError: no space left for the third mask\n"
+    with pytest.raises(EmptyDataset, match=f"^no manifest.json in {re.escape(str(data_dir))}$"):
+        data_mod.load_dataset(data_dir)
 
 
 @pytest.mark.parametrize("command", ["ablate", "train", "eval"])

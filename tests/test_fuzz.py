@@ -8,7 +8,8 @@ command in process and checks what every run must keep:
 - a nonzero exit prints exactly one stderr line, starting `boxperturb: `,
   and leaves none of the command's outputs;
 - a zero exit prints nothing on stderr;
-- no warning is raised.
+- no warning is raised;
+- no temporary `.*.tmp` file is left behind.
 
 The seed and the number of cases are fixed, so every run makes the same
 cases; a failing case is named by its index and target.
@@ -102,3 +103,4 @@ def test_damaged_input_exits_cleanly(tmp_path, capsys, monkeypatch, inputs, inde
         assert [name for name in outputs if (tmp_path / name).exists()] == []
     else:
         assert err == ""
+    assert list(tmp_path.rglob(".*.tmp")) == []
