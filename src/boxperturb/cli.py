@@ -194,9 +194,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    split = data_mod.gen_synthetic(args.n, suite=args.suite, grid=args.grid,
-                                   seed=args.seed)
-    data_mod.save_dataset(split, args.out_dir, suite=args.suite,
+    samples = data_mod.synthetic_samples(args.n, suite=args.suite, grid=args.grid,
+                                         seed=args.seed)
+    data_mod.save_dataset(samples, args.out_dir, suite=args.suite,
                           grid=args.grid, seed=args.seed)
     return 0
 
@@ -263,7 +263,7 @@ def cmd_ablate(args) -> int:
         raise ValueError(
             f"--error-dsc-threshold must be in (0, 1], got {args.error_dsc_threshold}")
     config = read_run_config(args.config)
-    splits = [_load_nonempty(Path(args.data_dir) / suite, ("train", "val", "test"))
+    splits = [_load_nonempty(Path(args.data_dir) / suite, data_mod.SPLITS)
               for suite in ("standard", "tiny")]
     rows = run_ablation(*splits, config, args.error_dsc_threshold)
     _write_csv(args.out, config, rows[0].keys(), [row.values() for row in rows], notes=[
@@ -357,6 +357,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     temps = {}  # each output's hidden sibling, which the command writes -> the output
+    named = {}  # each output's real directory and name -> its flag, with two or more outputs
     try:
         for dest in args.outputs:  # fail before any work, not after it
             path = Path(getattr(args, dest))
@@ -364,12 +365,18 @@ def main(argv=None) -> int:
                 raise FileNotFoundError(f"output directory {path.parent} does not exist")
             if path.is_dir():
                 raise IsADirectoryError(f"output {path} is a directory")
+            if len(args.outputs) > 1:  # the later rename would replace the earlier output
+                real = path.parent.resolve() / path.name
+                if real in named:
+                    raise ValueError(f"--{dest} names the same file as --{named[real]}")
+                named[real] = dest
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             setattr(args, dest, str(temp))
             temps[temp] = path
         code = args.func(args)
-        for temp, path in temps.items():  # only once every output is written
+        for temp, path in list(temps.items()):  # only once every output is written
             os.replace(temp, path)
+            del temps[temp]
         return code
     except (BoxPerturbError, OSError, RuntimeError) as e:  # before its base, ValueError
         message, code = f"{type(e).__name__}: {e}", 2
@@ -377,8 +384,9 @@ def main(argv=None) -> int:
         message, code = f"MemoryError: {e}", 2
     except ValueError as e:  # a bad flag, config value, size or other value
         message, code = str(e), 1
-    for temp in temps:  # every output keeps its old bytes, or stays absent
-        temp.unlink(missing_ok=True)
+    finally:  # after a failure or an interrupt, every output keeps its old bytes or stays absent
+        for temp in temps:
+            temp.unlink(missing_ok=True)
     print(f"boxperturb: {message}", file=sys.stderr)
     return code
 

@@ -27,6 +27,7 @@ from .rng import make_rng
 FOREGROUND_MEAN = 0.7
 BACKGROUND_MEAN = 0.3
 NOISE_SIGMA = 0.05
+SPLITS = ("train", "val", "test")  # a dataset's splits, in the order they are written
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,9 @@ class DatasetSplit:
     def all_samples(self) -> tuple[SyntheticSample, ...]:
         return self.train + self.val + self.test
 
-
-def split_counts(n: int) -> tuple[int, int, int]:
-    """80/10/10 split sizes; validation and test get at least one sample each."""
-    n_val = max(1, n // 10)
-    n_test = max(1, n // 10)
-    return n - n_val - n_test, n_val, n_test
+    def __iter__(self):
+        """(split name, sample) pairs in split order, as save_dataset takes them."""
+        return ((name, sample) for name in SPLITS for sample in getattr(self, name))
 
 
 def _ellipse_mask(grid: int, cx: float, cy: float, a: float, b: float) -> np.ndarray:
@@ -158,12 +156,11 @@ def _gen_tiny_sample(grid: int, rng: np.random.Generator) -> SyntheticSample:
 _SUITES = {"standard": (13, _gen_standard_sample), "tiny": (60, _gen_tiny_sample)}
 
 
-def gen_synthetic(n: int, suite: str = "standard", grid: int = 128,
-                  seed: int = 0) -> DatasetSplit:
-    """Generate n samples, deterministically per seed, split 80/10/10.
+def synthetic_samples(n: int, suite: str = "standard", grid: int = 128, seed: int = 0):
+    """The (split name, sample) pairs of n samples, each made only as it is read.
 
-    Each sample is drawn from its own child RNG stream keyed by the
-    sample index, so generation order does not affect the result.
+    The arguments are checked at the call.  Sample i draws from its own stream,
+    make_rng(seed, i); the names run 80/10/10, with val and test nonempty.
     """
     if n < 10:
         raise ValueError(f"n must be >= 10 so every split is nonempty, got {n}")
@@ -174,11 +171,16 @@ def gen_synthetic(n: int, suite: str = "standard", grid: int = 128,
         raise ValueError(f"grid must be >= {min_grid} for the {suite} suite, got {grid}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    samples = [gen(grid, make_rng(seed, i)) for i in range(n)]
-    n_train, n_val, n_test = split_counts(n)
-    return DatasetSplit(train=tuple(samples[:n_train]),
-                        val=tuple(samples[n_train:n_train + n_val]),
-                        test=tuple(samples[n_train + n_val:]))
+    n_held = max(1, n // 10)  # the size of val and of test
+    names = ["train"] * (n - 2 * n_held) + ["val"] * n_held + ["test"] * n_held
+    return ((name, gen(grid, make_rng(seed, i))) for i, name in enumerate(names))
+
+
+def gen_synthetic(n: int, suite: str = "standard", grid: int = 128,
+                  seed: int = 0) -> DatasetSplit:
+    """The samples of synthetic_samples, held in memory and grouped by split."""
+    pairs = list(synthetic_samples(n, suite, grid, seed))
+    return DatasetSplit(*(tuple(s for name, s in pairs if name == split) for split in SPLITS))
 
 
 def window_normalize(raw: np.ndarray, w_lo: float, w_hi: float) -> np.ndarray:
@@ -307,31 +309,28 @@ def write_f32_grid(path, grid: np.ndarray):
 MANIFEST_SCHEMA_VERSION = 1
 
 
-def save_dataset(split: DatasetSplit, out_dir, suite: str, grid: int, seed: int):
-    """Write image (F32G) / mask (PGM) pairs and a manifest with the splits."""
+def save_dataset(samples, out_dir, suite: str, grid: int, seed: int):
+    """Write each (split name, sample) pair, as it arrives, as an F32G image and a PGM
+    mask, then a manifest with the splits.  The directory is made and an old manifest
+    deleted once the first sample exists, so a dataset cut short has no manifest."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)  # so a dataset cut short has none
-    names = {"train": split.train, "val": split.val, "test": split.test}
-    manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "suite": suite,
-                "grid": grid, "seed": seed, "splits": {}, "samples": []}
-    index = 0
-    for split_name, samples in names.items():
-        ids = []
-        for sample in samples:
-            stem = f"{index:04d}"
-            write_f32_grid(out / f"img_{stem}.f32g", sample.image)
-            write_mask_pgm(out / f"mask_{stem}.pgm", sample.mask)
-            manifest["samples"].append({
-                "id": stem,
-                "image": f"img_{stem}.f32g",
-                "mask": f"mask_{stem}.pgm",
-                "distractor_count": sample.distractor_count,
-                "target_area_fraction": sample.target_area_fraction,
-            })
-            ids.append(stem)
-            index += 1
-        manifest["splits"][split_name] = ids
+    manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "suite": suite, "grid": grid,
+                "seed": seed, "splits": {name: [] for name in SPLITS}, "samples": []}
+    for index, (split_name, sample) in enumerate(samples):
+        if index == 0:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "manifest.json").unlink(missing_ok=True)
+        stem = f"{index:04d}"
+        write_f32_grid(out / f"img_{stem}.f32g", sample.image)
+        write_mask_pgm(out / f"mask_{stem}.pgm", sample.mask)
+        manifest["samples"].append({
+            "id": stem,
+            "image": f"img_{stem}.f32g",
+            "mask": f"mask_{stem}.pgm",
+            "distractor_count": sample.distractor_count,
+            "target_area_fraction": sample.target_area_fraction,
+        })
+        manifest["splits"][split_name].append(stem)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -349,7 +348,7 @@ def _manifest_splits(manifest) -> dict[str, list[dict]]:
             raise MalformedFile(f"sample {entry['id']!r} is listed twice")
         by_id[entry["id"]] = entry
     splits, split_of = {}, {}
-    for name in ("train", "val", "test"):
+    for name in SPLITS:
         ids = manifest["splits"].get(name, [])
         if not isinstance(ids, list):
             raise MalformedFile(f"split {name!r} is not a list of sample ids")

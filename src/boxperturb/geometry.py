@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import BoxOutOfBounds, EmptyMask
 
+BOX_TOL = 1e-9  # slack, in pixels, of the box containment tests
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -50,13 +52,15 @@ class BoundingBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains_box(self, other: "BoundingBox", tol: float = 1e-9) -> bool:
-        return (self.x_min <= other.x_min + tol and self.y_min <= other.y_min + tol
-                and self.x_max >= other.x_max - tol and self.y_max >= other.y_max - tol)
+    def contains_box(self, other: "BoundingBox") -> bool:
+        return (self.x_min <= other.x_min + BOX_TOL
+                and self.y_min <= other.y_min + BOX_TOL
+                and self.x_max >= other.x_max - BOX_TOL
+                and self.y_max >= other.y_max - BOX_TOL)
 
-    def within_image(self, image_w: int, image_h: int, tol: float = 1e-9) -> bool:
-        return (self.x_min >= -tol and self.y_min >= -tol
-                and self.x_max <= image_w + tol and self.y_max <= image_h + tol)
+    def within_image(self, image_w: int, image_h: int) -> bool:
+        return (self.x_min >= -BOX_TOL and self.y_min >= -BOX_TOL
+                and self.x_max <= image_w + BOX_TOL and self.y_max <= image_h + BOX_TOL)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ def combined_loss_into(s: np.ndarray, g: np.ndarray, tmp: np.ndarray,
                        grad_out: np.ndarray | None = None,
                        var_out: np.ndarray | None = None) -> LossReport:
     """combined_loss(s, g), plus loss_gradient(s, g) into grad_out and then
-    (1 - s) * s into var_out, each if given (var_out only with grad_out).
+    (1 - s) * s into var_out when both are given.
 
     For s already clipped and a boolean mask g the values are those of
     the reference functions bit for bit, but every full-size
@@ -91,10 +91,9 @@ def combined_loss_into(s: np.ndarray, g: np.ndarray, tmp: np.ndarray,
     if grad_out is None:
         return report
     np.subtract(s, g, out=grad_out)
-    var = tmp if var_out is None else var_out
-    np.subtract(1.0, s, out=var)
-    var *= s
-    grad_out /= var
+    np.subtract(1.0, s, out=var_out)
+    var_out *= s
+    grad_out /= var_out
     grad_out /= s.size
     # Dice term -2 (g denom - 2 overlap s) / denom^2, as 4 overlap s - 2 denom
     # where g is set and 4 overlap s elsewhere: scaling by 2 and negation are

@@ -68,8 +68,8 @@ class PerturbedBox:
     """A sampled box plus the draws that produced it."""
 
     box: BoundingBox
-    draws: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    resample_count: int = 0
+    draws: tuple[float, float, float, float]
+    resample_count: int
 
 
 def compute_offsets(config: PerturbationConfig, coeffs: Coefficients) -> OffsetQuad:

@@ -34,8 +34,9 @@ class _WorkArrays:
     A step needs half a dozen such intermediates.  Allocated afresh each
     step, they go back to the C heap when it ends; the heap then returns
     the pages to the system and faults them in again on the next step,
-    which costs more than the arithmetic.  A model keeps one set per
-    image shape and reuses it.
+    which costs more than the arithmetic.  A model keeps one set, for the
+    shape of its last image.  A step writes each array before it reads it,
+    so reuse cannot change a bit.
 
     `inside` and `signed` change only near the box but stay full-size,
     so each gradient entry sums the same (H, W) product in the same order
@@ -62,12 +63,12 @@ class ToyModel:
     m: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
     v: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))
     step: int = 0
-    work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    work: _WorkArrays | None = field(default=None, init=False, repr=False, compare=False)
 
     def work_arrays(self, shape: tuple[int, int]) -> _WorkArrays:
-        if shape not in self.work:
-            self.work[shape] = _WorkArrays(shape)
-        return self.work[shape]
+        if self.work is None or self.work.inside.shape != shape:
+            self.work = _WorkArrays(shape)
+        return self.work
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,7 @@ def evaluate(model: ToyModel, samples, grow: float = 0.0, tau: float = 2.0) -> E
                       per_image_dsc=tuple(dscs), per_image_nsd=tuple(nsds))
 
 
-def save_model(model: ToyModel, path, train_config_echo: dict | None = None):
+def save_model(model: ToyModel, path, train_config_echo: dict):
     """Write the model as JSON; weights round-trip bit-exactly."""
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -347,7 +348,7 @@ def save_model(model: ToyModel, path, train_config_echo: dict | None = None):
             "v": [float(x) for x in model.v],
             "step": model.step,
         },
-        "train_config_echo": train_config_echo or {},
+        "train_config_echo": train_config_echo,
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)

@@ -379,6 +379,9 @@ CASES = [
          "train --data-dir ds --config one.cfg --out m.json --history hdir", 2,
          "IsADirectoryError: output hdir is a directory",
          (*DS, write("m.json", KEPT), directory("hdir")), same={"m.json": KEPT}),
+    Case("train-out-is-history",
+         "train --data-dir ds --config one.cfg --out m.json --history sub/../m.json", 1,
+         "--history names the same file as --out", (*DS, directory("sub")), ("m.json",)),
     Case("train-missing-output-dir",
          "train --data-dir ds --config one.cfg --out model.json --history nodir/history.csv", 2,
          "FileNotFoundError: output directory nodir does not exist", DS, ("model.json", "nodir")),

@@ -4,6 +4,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -155,6 +156,35 @@ def test_gen_regeneration_identical(tmp_path):
         assert p1.read_bytes() == (d2 / p1.name).read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("suite, grid", [("standard", 32), ("tiny", 64)])
+def test_gen_writes_the_dataset_gen_synthetic_holds(tmp_path, suite, grid, seed):
+    # gen streams its samples to save_dataset; gen_synthetic holds them all first.
+    streamed, held = tmp_path / "streamed", tmp_path / "held"
+    assert run("gen", "--suite", suite, "--n", "20", "--grid", str(grid), "--seed", str(seed),
+               "--out-dir", str(streamed)) == 0
+    data_mod.save_dataset(data_mod.gen_synthetic(20, suite, grid, seed), held, suite, grid, seed)
+    names = sorted(path.name for path in streamed.iterdir())
+    assert names == sorted(path.name for path in held.iterdir())
+    for name in names:
+        assert (streamed / name).read_bytes() == (held / name).read_bytes(), name
+
+
+def test_gen_holds_one_sample_at_a_time(tmp_path):
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            assert run("gen", "--n", str(n), "--grid", "64",
+                       "--out-dir", str(tmp_path / f"{n}")) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert run("gen", "--n", "10", "--grid", "64", "--out-dir", str(tmp_path / "warm")) == 0
+    one_sample = 64 * 64 * 5  # a float32 image and a bool mask
+    assert traced_peak(40) - traced_peak(10) < one_sample
+
+
 def test_train_and_history(tmp_path):
     data_dir = tmp_path / "ds"
     assert run("gen", "--n", "10", "--grid", "32", "--seed", "4",
@@ -244,6 +274,20 @@ def test_failed_gen_leaves_a_dataset_that_load_dataset_rejects(tmp_path, capsys,
         data_mod.load_dataset(data_dir)
 
 
+def test_interrupted_command_leaves_no_temporary(tmp_path, mask_file, monkeypatch):
+    write_csv = cli._write_csv
+
+    def write_then_interrupt(*args, **kwargs):
+        write_csv(*args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_write_csv", write_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run("perturb", "--mask", str(mask_file), "--n", "5", "--out", str(tmp_path / "d.csv"))
+    assert list(tmp_path.glob(".*.tmp")) == []
+    assert not (tmp_path / "d.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["ablate", "train", "eval"])
 def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                         mask_file, command):
@@ -294,12 +338,15 @@ class _ArrayMemoryError(MemoryError):
     """A private subclass, as numpy raises when an allocation fails."""
 
 
-@pytest.mark.parametrize("argv, failing", [
-    (["gen", "--n", "10", "--grid", "100000", "--out-dir", "{tmp}/big"], "gen_synthetic"),
+@pytest.mark.parametrize("argv, patch", [
+    # gen allocates inside its stream of samples, as it makes the first one.
+    (["gen", "--n", "10", "--grid", "100000", "--out-dir", "{tmp}/big"],
+     lambda mp, fail: mp.setitem(data_mod._SUITES, "standard", (13, fail))),
     (["preprocess", "--in", "{tmp}/x.f32g", "--window", "0", "1",
-      "--resize", "100000", "100000", "--out", "{tmp}/y.f32g"], "resample_bilinear"),
+      "--resize", "100000", "100000", "--out", "{tmp}/y.f32g"],
+     lambda mp, fail: mp.setattr(data_mod, "resample_bilinear", fail)),
 ], ids=["gen", "preprocess-resize"])
-def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, failing):
+def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, patch):
     # Nothing is allocated for real: under memory overcommit a huge allocation
     # can succeed, and the process is then killed when it touches the pages.
     message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
@@ -307,7 +354,7 @@ def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
     def fail(*args, **kwargs):
         raise _ArrayMemoryError(message)
 
-    monkeypatch.setattr(data_mod, failing, fail)
+    patch(monkeypatch, fail)
     data_mod.write_f32_grid(tmp_path / "x.f32g", np.zeros((2, 2), dtype=np.float32))
     assert run(*[a.format(tmp=tmp_path) for a in argv]) == 2
     assert capsys.readouterr().err == f"boxperturb: MemoryError: {message}\n"

@@ -150,8 +150,6 @@ def test_combined_loss_into_matches_reference_exactly(shape):
         g = rng.random(shape) < rng.uniform(0.0, 1.0)
         tmp, grad, var = np.empty(shape), np.empty(shape), np.empty(shape)
         assert combined_loss_into(s, g, tmp) == combined_loss(s, g)
-        assert combined_loss_into(s, g, tmp, grad_out=grad) == combined_loss(s, g)
-        assert (grad == loss_gradient(s, g.astype(np.float64))).all()
         grad.fill(np.nan)
         assert combined_loss_into(s, g, tmp, grad_out=grad, var_out=var) == combined_loss(s, g)
         assert grad.tobytes() == loss_gradient(s, g.astype(np.float64)).tobytes()

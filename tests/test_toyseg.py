@@ -314,6 +314,23 @@ def test_train_step_allocates_no_full_size_arrays():
     assert peak < 2 * image.nbytes
 
 
+def test_model_keeps_one_set_of_work_arrays():
+    model = toyseg.ToyModel(weights=make_rng(512).normal(0, 1, size=toyseg.N_FEATURES))
+    for shape in ((40, 56), (31, 24), (40, 56)):
+        rng = make_rng(513, *shape)
+        image = rng.random(shape).astype(np.float32)
+        mask = rng.random(shape) < 0.3
+        box = BoundingBox(3.0, 4.0, shape[1] - 5.0, shape[0] - 2.0)
+        # A fresh model with the same state: its work arrays were never used.
+        fresh = toyseg.ToyModel(model.weights.copy(), model.m.copy(), model.v.copy(), model.step)
+        for each in (model, fresh):
+            toyseg.train_step(each, image, mask, box, 1e-4, 0.01)
+        assert isinstance(model.work, toyseg._WorkArrays) and model.work.inside.shape == shape
+        for name in ("weights", "m", "v"):
+            assert getattr(model, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert model.step == fresh.step
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return data_mod.gen_synthetic(20, suite="standard", grid=48, seed=9)
