@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -128,14 +129,14 @@ def _write_csv(path, config: RunConfig, header, rows, notes=(), end_notes=()):
     exactly), everything else with str; notes become `# ` comment lines.
     """
     values = config.values()
-    lines = [f"# schema_version = {SCHEMA_VERSION}"]
-    lines += [f"# {key} = {values[key]}" for key in sorted(values)]
-    lines += [f"# {note}" for note in notes]
-    lines.append(",".join(header))
-    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    lines += [f"# {note}" for note in end_notes]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:  # each line as it is made: rows may be a stream
+        f.write(f"# schema_version = {SCHEMA_VERSION}\n")
+        f.writelines(f"# {key} = {values[key]}\n" for key in sorted(values))
+        f.writelines(f"# {note}\n" for note in notes)
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                     for row in rows)
+        f.writelines(f"# {note}\n" for note in end_notes)
 
 
 def cmd_perturb(args) -> int:
@@ -154,18 +155,18 @@ def cmd_perturb(args) -> int:
     coeffs = coefficients_for(box, w, h, pcfg.theta_floor)
     offsets = compute_offsets(pcfg, coeffs)
 
-    draws = [sample_perturbed_box(box, offsets, w, h, pcfg, make_rng(config.train.seed, i))
-             for i in range(args.n)]
-    rows = [(i, p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max,
-             offsets.eps1, offsets.eps2, offsets.delta1, offsets.delta2, p.resample_count)
-            for i, p in enumerate(draws)]
-
+    draws = (sample_perturbed_box(box, offsets, w, h, pcfg, make_rng(config.train.seed, i))
+             for i in range(args.n))
     end_notes = []
     if args.stats:
+        draws = list(draws)  # the summary, an end note, reads every draw before the rows
         stats = PerturbationStats.of(draws)
         end_notes.append(f"stats: mean_width = {_fmt(stats.mean_width)}, "
                          f"mean_height = {_fmt(stats.mean_height)}, "
                          f"mean_aspect = {_fmt(stats.mean_width / stats.mean_height)}")
+    rows = ((i, p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max,
+             offsets.eps1, offsets.eps2, offsets.delta1, offsets.delta2, p.resample_count)
+            for i, p in enumerate(draws))
     _write_csv(args.out, config,
                "draw,x_min,y_min,x_max,y_max,eps1,eps2,delta1,delta2,resamples".split(","),
                rows, end_notes=end_notes)
@@ -363,8 +364,14 @@ def main(argv=None) -> int:
             path = Path(getattr(args, dest))
             if not path.parent.is_dir():
                 raise FileNotFoundError(f"output directory {path.parent} does not exist")
-            if path.is_dir():
+            try:
+                mode = path.stat().st_mode
+            except FileNotFoundError:
+                mode = stat.S_IFREG  # a new file
+            if stat.S_ISDIR(mode):
                 raise IsADirectoryError(f"output {path} is a directory")
+            if not stat.S_ISREG(mode):  # a FIFO or a device, such as /dev/null: write in place
+                continue
             if len(args.outputs) > 1:  # the later rename would replace the earlier output
                 real = path.parent.resolve() / path.name
                 if real in named:
@@ -384,7 +391,7 @@ def main(argv=None) -> int:
         message, code = f"MemoryError: {e}", 2
     except ValueError as e:  # a bad flag, config value, size or other value
         message, code = str(e), 1
-    finally:  # after a failure or an interrupt, every output keeps its old bytes or stays absent
+    finally:  # after a failure or an interrupt, each output with a temporary is as it was
         for temp in temps:
             temp.unlink(missing_ok=True)
     print(f"boxperturb: {message}", file=sys.stderr)

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -146,6 +147,54 @@ def test_perturb_deterministic_output(tmp_path, mask_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_perturb_stats_adds_only_its_end_note(tmp_path, mask_file):
+    # --stats holds the draws in a list; without it they are a stream.
+    plain, stats = tmp_path / "plain.csv", tmp_path / "stats.csv"
+    argv = ["perturb", "--mask", str(mask_file), "--n", "200", "--seed", "9"]
+    assert run(*argv, "--out", str(plain)) == 0
+    assert run(*argv, "--stats", "--out", str(stats)) == 0
+    rows, with_note = plain.read_bytes(), stats.read_bytes()
+    assert with_note.startswith(rows)
+    assert re.fullmatch(rb"# stats: [^\n]*\n", with_note[len(rows):])
+
+
+def traced_peak(*argv):
+    """The traced peak allocation of one successful main call."""
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_perturb_holds_one_draw_at_a_time(tmp_path, mask_file):
+    def peak(n):
+        return traced_peak("perturb", "--mask", str(mask_file), "--n", str(n),
+                           "--out", str(tmp_path / f"{n}.csv"))
+
+    assert run("perturb", "--mask", str(mask_file), "--n", "10",
+               "--out", str(tmp_path / "warm.csv")) == 0
+    assert peak(4000) - peak(1000) < 50 * 3000  # bytes: under 50 per draw
+
+
+def test_output_that_is_not_a_regular_file_is_written_in_place(tmp_path, mask_file):
+    argv = ["perturb", "--mask", str(mask_file), "--n", "20", "--seed", "3", "--out"]
+    regular, fifo = tmp_path / "regular.csv", tmp_path / "fifo"
+    assert run(*argv, str(regular)) == 0
+    os.mkfifo(fifo)
+    # A reader that is already open lets main open the FIFO to write without blocking.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(*argv, str(fifo)) == 0
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert written == regular.read_bytes()
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
 def test_gen_regeneration_identical(tmp_path):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
@@ -171,18 +220,13 @@ def test_gen_writes_the_dataset_gen_synthetic_holds(tmp_path, suite, grid, seed)
 
 
 def test_gen_holds_one_sample_at_a_time(tmp_path):
-    def traced_peak(n):
-        tracemalloc.start()
-        try:
-            assert run("gen", "--n", str(n), "--grid", "64",
-                       "--out-dir", str(tmp_path / f"{n}")) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def peak(n):
+        return traced_peak("gen", "--n", str(n), "--grid", "64",
+                           "--out-dir", str(tmp_path / f"{n}"))
 
     assert run("gen", "--n", "10", "--grid", "64", "--out-dir", str(tmp_path / "warm")) == 0
     one_sample = 64 * 64 * 5  # a float32 image and a bool mask
-    assert traced_peak(40) - traced_peak(10) < one_sample
+    assert peak(40) - peak(10) < one_sample
 
 
 def test_train_and_history(tmp_path):
@@ -338,6 +382,18 @@ class _ArrayMemoryError(MemoryError):
     """A private subclass, as numpy raises when an allocation fails."""
 
 
+def third_draw_fails(mp, fail):
+    """Patch perturb's sampler to fail on its third draw, once two rows are written."""
+    draws = []
+    sample = cli.sample_perturbed_box
+
+    def draw(*args):
+        draws.append(args)
+        return (fail if len(draws) == 3 else sample)(*args)
+
+    mp.setattr(cli, "sample_perturbed_box", draw)
+
+
 @pytest.mark.parametrize("argv, patch", [
     # gen allocates inside its stream of samples, as it makes the first one.
     (["gen", "--n", "10", "--grid", "100000", "--out-dir", "{tmp}/big"],
@@ -345,7 +401,10 @@ class _ArrayMemoryError(MemoryError):
     (["preprocess", "--in", "{tmp}/x.f32g", "--window", "0", "1",
       "--resize", "100000", "100000", "--out", "{tmp}/y.f32g"],
      lambda mp, fail: mp.setattr(data_mod, "resample_bilinear", fail)),
-], ids=["gen", "preprocess-resize"])
+    # perturb writes each row as it draws it, so its temporary holds rows when it fails.
+    (["perturb", "--mask", "{tmp}/m.pgm", "--n", "5", "--out", "{tmp}/d.csv"],
+     third_draw_fails),
+], ids=["gen", "preprocess-resize", "perturb"])
 def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, patch):
     # Nothing is allocated for real: under memory overcommit a huge allocation
     # can succeed, and the process is then killed when it touches the pages.
@@ -356,9 +415,11 @@ def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
 
     patch(monkeypatch, fail)
     data_mod.write_f32_grid(tmp_path / "x.f32g", np.zeros((2, 2), dtype=np.float32))
+    data_mod.write_mask_pgm(tmp_path / "m.pgm", np.ones((8, 8), dtype=bool))
     assert run(*[a.format(tmp=tmp_path) for a in argv]) == 2
     assert capsys.readouterr().err == f"boxperturb: MemoryError: {message}\n"
-    assert not (tmp_path / "big").exists() and not (tmp_path / "y.f32g").exists()
+    assert [name for name in ("big", "y.f32g", "d.csv") if (tmp_path / name).exists()] == []
+    assert list(tmp_path.glob(".*.tmp")) == []
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, mask_file):

@@ -14,7 +14,8 @@ from boxperturb.loss import bce, dice_loss
 from boxperturb.perturb import PerturbationConfig, compute_offsets
 from boxperturb.rng import make_rng
 
-from oracles import finite_difference, reference_forward, reference_weight_gradient
+from oracles import (finite_difference, reference_features, reference_forward,
+                     reference_weight_gradient)
 
 
 # eps_shrink = delta_expand = 0: the prompt is the ground-truth box.
@@ -72,25 +73,13 @@ def test_featurize_out_of_bounds_box():
         toyseg.featurize(small_image(), BoundingBox(-1, 0, 10, 10))
 
 
-def four_way_featurize(image, box):
-    """The features with the inside test as four comparisons and a masked negation."""
-    h, w = image.shape
-    px, py = np.meshgrid(np.arange(w, dtype=np.float64) + 0.5,
-                         np.arange(h, dtype=np.float64) + 0.5)
-    inside = ((px >= box.x_min) & (px <= box.x_max)
-              & (py >= box.y_min) & (py <= box.y_max))
-    dx_out = np.maximum(np.maximum(box.x_min - px, px - box.x_max), 0.0)
-    dy_out = np.maximum(np.maximum(box.y_min - py, py - box.y_max), 0.0)
-    signed = np.minimum(np.minimum(px - box.x_min, box.x_max - px),
-                        np.minimum(py - box.y_min, box.y_max - py))
-    np.maximum(signed, 0.0, out=signed)
-    np.negative(np.hypot(dx_out, dy_out), out=signed, where=~inside)
-    signed /= 0.5 * min(box.width, box.height)
-    np.clip(signed, -1.0, 1.0, out=signed)
-    bcx, bcy = box.center
-    return np.stack([np.ones((h, w)), image, inside.astype(np.float64), signed,
-                     np.abs(px - bcx) / box.width, np.abs(py - bcy) / box.height],
-                    axis=-1)
+def reference_featurize(image, box):
+    """The six features as one (H, W, 6) array, from the whole-image reference formulas.
+
+    The two tests below keep the names they had when they compared against a
+    second, four-way copy of those formulas, so that their ids stay the same.
+    """
+    return np.stack(np.broadcast_arrays(*reference_features(image, box)), axis=-1)
 
 
 @pytest.mark.parametrize("shape, box", [
@@ -109,7 +98,7 @@ def four_way_featurize(image, box):
 ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_featurize_matches_four_way_formula(shape, box):
     image = make_rng(503).random(shape)
-    assert toyseg.featurize(image, box).tobytes() == four_way_featurize(image, box).tobytes()
+    assert toyseg.featurize(image, box).tobytes() == reference_featurize(image, box).tobytes()
 
 
 def _center_edges(n):
@@ -134,7 +123,7 @@ def test_featurize_matches_four_way_formula_random_boxes():
             y0, y1 = sorted(rng.uniform(0, h, 2))
         box = BoundingBox(float(x0), float(y0), float(x1), float(y1))
         assert (toyseg.featurize(image, box).tobytes()
-                == four_way_featurize(image, box).tobytes())
+                == reference_featurize(image, box).tobytes())
 
 
 def test_predict_zero_weights_is_half():
