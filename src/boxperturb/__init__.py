@@ -9,8 +9,7 @@ data to compare perturbation strategies end to end.
 from .geometry import BoundingBox, Coefficients, box_from_mask, coefficients_for
 from .loss import LossReport, bce, combined_loss, dice_loss, loss_gradient
 from .metrics import boundary, distance_transform, dsc, nsd
-from .perturb import (OffsetQuad, PerturbationConfig, PerturbedBox,
-                      compute_offsets, perturbation_stats,
+from .perturb import (OffsetQuad, PerturbationConfig, PerturbedBox, compute_offsets,
                       sample_baseline_box, sample_perturbed_box)
 from .rng import make_rng
 
@@ -21,6 +20,6 @@ __all__ = [
     "LossReport", "bce", "combined_loss", "dice_loss", "loss_gradient",
     "boundary", "distance_transform", "dsc", "nsd",
     "OffsetQuad", "PerturbationConfig", "PerturbedBox", "compute_offsets",
-    "perturbation_stats", "sample_baseline_box", "sample_perturbed_box",
+    "sample_baseline_box", "sample_perturbed_box",
     "make_rng", "__version__",
 ]

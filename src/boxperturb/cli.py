@@ -139,7 +139,7 @@ def _write_csv(path, config: RunConfig, header, rows, notes=(), end_notes=()):
         f.writelines(f"# {note}\n" for note in end_notes)
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args):
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.seed is not None and args.seed < 0:
@@ -170,10 +170,9 @@ def cmd_perturb(args) -> int:
     _write_csv(args.out, config,
                "draw,x_min,y_min,x_max,y_max,eps1,eps2,delta1,delta2,resamples".split(","),
                rows, end_notes=end_notes)
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     if not args.tau >= 0:  # also rejects NaN
         raise ValueError(f"--tau must be >= 0, got {args.tau}")
     gt = data_mod.read_mask_pgm(args.gt)
@@ -191,15 +190,13 @@ def cmd_eval(args) -> int:
         "pred_pixels": int(np.count_nonzero(pred)),
     }
     Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
-    return 0
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args):
     samples = data_mod.synthetic_samples(args.n, suite=args.suite, grid=args.grid,
                                          seed=args.seed)
     data_mod.save_dataset(samples, args.out_dir, suite=args.suite,
                           grid=args.grid, seed=args.seed)
-    return 0
 
 
 def _load_nonempty(data_dir, names) -> data_mod.DatasetSplit:
@@ -212,14 +209,13 @@ def _load_nonempty(data_dir, names) -> data_mod.DatasetSplit:
     return split
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     config = read_run_config(args.config)
     split = _load_nonempty(args.data_dir, ("train", "val"))
     model, history = toyseg.train(split, config.train)
     toyseg.save_model(model, args.out, train_config_echo=config.values())
     _write_csv(args.history, config, [f.name for f in fields(toyseg.EpochRecord)],
                [astuple(rec) for rec in history])
-    return 0
 
 
 # (row name, overrides of the configured perturbation): the 2x2 factorial of
@@ -259,7 +255,7 @@ def run_ablation(standard_split, tiny_split, config: RunConfig,
     return results
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args):
     if not 0.0 < args.error_dsc_threshold <= 1.0:  # also rejects NaN
         raise ValueError(
             f"--error-dsc-threshold must be in (0, 1], got {args.error_dsc_threshold}")
@@ -272,16 +268,14 @@ def cmd_ablate(args) -> int:
         f"on the tiny suite (stand-in definition)",
         f"expand/shrink prompt regimes move each edge by {config.prompt_frac} "
         f"of the side length (stand-in value)"])
-    return 0
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args):
     raw = data_mod.read_f32_grid(args.infile)
     out = data_mod.window_normalize(raw, args.window[0], args.window[1])
     if args.resize is not None:
         out = data_mod.resample_bilinear(out, args.resize[0], args.resize[1])
     data_mod.write_f32_grid(args.out, out)
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -380,11 +374,11 @@ def main(argv=None) -> int:
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             setattr(args, dest, str(temp))
             temps[temp] = path
-        code = args.func(args)
+        args.func(args)
         for temp, path in list(temps.items()):  # only once every output is written
             os.replace(temp, path)
             del temps[temp]
-        return code
+        return 0
     except (BoxPerturbError, OSError, RuntimeError) as e:  # before its base, ValueError
         message, code = f"{type(e).__name__}: {e}", 2
     except MemoryError as e:  # numpy raises a private subclass; name the public class

@@ -312,7 +312,9 @@ MANIFEST_SCHEMA_VERSION = 1
 def save_dataset(samples, out_dir, suite: str, grid: int, seed: int):
     """Write each (split name, sample) pair, as it arrives, as an F32G image and a PGM
     mask, then a manifest with the splits.  The directory is made and an old manifest
-    deleted once the first sample exists, so a dataset cut short has no manifest."""
+    deleted once the first sample exists, so a dataset cut short has no manifest.
+    Each image and mask name is unlinked before it is written, so a link left in the
+    directory is replaced, not written through."""
     out = Path(out_dir)
     manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "suite": suite, "grid": grid,
                 "seed": seed, "splits": {name: [] for name in SPLITS}, "samples": []}
@@ -321,12 +323,15 @@ def save_dataset(samples, out_dir, suite: str, grid: int, seed: int):
             out.mkdir(parents=True, exist_ok=True)
             (out / "manifest.json").unlink(missing_ok=True)
         stem = f"{index:04d}"
-        write_f32_grid(out / f"img_{stem}.f32g", sample.image)
-        write_mask_pgm(out / f"mask_{stem}.pgm", sample.mask)
+        image, mask = out / f"img_{stem}.f32g", out / f"mask_{stem}.pgm"
+        for path in (image, mask):
+            path.unlink(missing_ok=True)
+        write_f32_grid(image, sample.image)
+        write_mask_pgm(mask, sample.mask)
         manifest["samples"].append({
             "id": stem,
-            "image": f"img_{stem}.f32g",
-            "mask": f"mask_{stem}.pgm",
+            "image": image.name,
+            "mask": mask.name,
             "distractor_count": sample.distractor_count,
             "target_area_fraction": sample.target_area_fraction,
         })

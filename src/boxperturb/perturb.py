@@ -65,10 +65,11 @@ class OffsetQuad:
 
 @dataclass(frozen=True)
 class PerturbedBox:
-    """A sampled box plus the draws that produced it."""
+    """A draw: its box, clamped to the image, and its resample count.
+
+    A count of max_resample + 1 means every draw was degenerate and the box is the repair."""
 
     box: BoundingBox
-    draws: tuple[float, float, float, float]
     resample_count: int
 
 
@@ -105,7 +106,6 @@ def sample_perturbed_box(box: BoundingBox, offsets: OffsetQuad,
         x_max = float(rng.uniform(box.x_max - e_x, box.x_max + d_x))
         y_min = float(rng.uniform(box.y_min - d_y, box.y_min + e_y))
         y_max = float(rng.uniform(box.y_max - e_y, box.y_max + d_y))
-        draws = (x_min, x_max, y_min, y_max)
         x_min_c = min(max(x_min, 0.0), float(image_w))
         x_max_c = min(max(x_max, 0.0), float(image_w))
         y_min_c = min(max(y_min, 0.0), float(image_h))
@@ -113,7 +113,7 @@ def sample_perturbed_box(box: BoundingBox, offsets: OffsetQuad,
         if (x_max_c - x_min_c >= config.min_box_size
                 and y_max_c - y_min_c >= config.min_box_size):
             return PerturbedBox(box=BoundingBox(x_min_c, y_min_c, x_max_c, y_max_c),
-                                draws=draws, resample_count=attempt)
+                                resample_count=attempt)
 
     # All draws degenerate: fall back to a centered box around the original center.
     cx, cy = box.center
@@ -122,7 +122,7 @@ def sample_perturbed_box(box: BoundingBox, offsets: OffsetQuad,
     x_min = min(max(cx - 0.5 * w, 0.0), image_w - w)
     y_min = min(max(cy - 0.5 * h, 0.0), image_h - h)
     repaired = BoundingBox(x_min, y_min, x_min + w, y_min + h)
-    return PerturbedBox(box=repaired, draws=draws, resample_count=config.max_resample + 1)
+    return PerturbedBox(box=repaired, resample_count=config.max_resample + 1)
 
 
 def sample_baseline_box(box: BoundingBox, max_shift: float,
@@ -137,9 +137,8 @@ def sample_baseline_box(box: BoundingBox, max_shift: float,
 
 @dataclass(frozen=True)
 class PerturbationStats:
-    """Summary of drawn boxes: their mean width and height, and the share resampled."""
+    """Summary of one or more draws: mean box width and height, and the share resampled."""
 
-    n: int
     mean_width: float
     mean_height: float
     resample_rate: float
@@ -153,14 +152,6 @@ class PerturbationStats:
         if n == 0:
             raise ValueError("no draws to summarize")
         widths, heights, resampled = table.T.copy()
-        return cls(n=n, mean_width=float(widths.mean()), mean_height=float(heights.mean()),
+        return cls(mean_width=float(widths.mean()), mean_height=float(heights.mean()),
                    resample_rate=float(resampled.sum()) / n)
 
-
-def perturbation_stats(box: BoundingBox, config: PerturbationConfig,
-                       coeffs: Coefficients, n: int, rng: np.random.Generator,
-                       image_w: int, image_h: int) -> PerturbationStats:
-    """Monte-Carlo summary of n draws around one box in an image_w x image_h image."""
-    offsets = compute_offsets(config, coeffs)
-    return PerturbationStats.of(
-        sample_perturbed_box(box, offsets, image_w, image_h, config, rng) for _ in range(n))

@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from boxperturb import data as data_mod
+from boxperturb.cli import main
 from boxperturb.errors import (DimensionMismatch, DomainError, EmptyMask, InvalidWindow,
                                MalformedFile)
 from boxperturb.geometry import box_from_mask
@@ -392,6 +395,30 @@ def test_dataset_save_load_round_trip(tmp_path):
         assert (a.mask == b.mask).all()
         assert a.image.dtype == b.image.dtype == np.float32
         assert (a.image == b.image).all()
+
+
+def test_gen_replaces_links_left_in_its_directory(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["gen", "--n", "10", "--grid", "32", "--seed", "0", "--out-dir", str(a)]) == 0
+    before = {f.name: f.read_bytes() for f in a.iterdir()}
+    b.mkdir()
+    for name in before:
+        if name == "img_0003.f32g":
+            os.link(a / name, b / name)
+        else:
+            (b / name).symlink_to(a / name)
+    assert main(["gen", "--n", "10", "--grid", "32", "--seed", "1", "--out-dir", str(b)]) == 0
+    assert {f.name: f.read_bytes() for f in a.iterdir()} == before
+    assert sorted(f.name for f in b.iterdir()) == sorted(before)
+    for f in b.iterdir():
+        info = f.lstat()
+        assert stat.S_ISREG(info.st_mode) and info.st_nlink == 1, f.name
+    expected = data_mod.gen_synthetic(10, grid=32, seed=1).all_samples
+    loaded = data_mod.load_dataset(b).all_samples
+    assert len(loaded) == len(expected)
+    for got, want in zip(loaded, expected):
+        assert got.image.tobytes() == want.image.tobytes()
+        assert got.mask.tobytes() == want.mask.tobytes()
 
 
 @pytest.mark.parametrize("split, value", [("train", np.inf), ("val", np.nan)])

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from boxperturb.geometry import BoundingBox, Coefficients
-from boxperturb.perturb import (OffsetQuad, PerturbationConfig,
-                                compute_offsets, perturbation_stats,
-                                sample_baseline_box, sample_perturbed_box)
+from boxperturb.perturb import (OffsetQuad, PerturbationConfig, PerturbationStats,
+                                compute_offsets, sample_baseline_box, sample_perturbed_box)
 from boxperturb.rng import make_rng
 
 
@@ -142,16 +141,16 @@ def test_adaptive_seeded_determinism():
     for _ in range(2):
         out = [sample_perturbed_box(box, off, 128, 128, cfg, make_rng(43, i))
                for i in range(100)]
-        runs.append([(p.box.x_min, p.box.y_min, p.box.x_max, p.box.y_max,
-                      p.draws, p.resample_count) for p in out])
+        runs.append([(p.box, p.resample_count) for p in out])
     assert runs[0] == runs[1]
 
 
 def test_stats_zero_perturbation_exact_width():
     box = BoundingBox(10, 10, 50, 35)
     cfg = PerturbationConfig(eps_shrink=0.0, delta_expand=0.0)
-    stats = perturbation_stats(box, cfg, Coefficients(0.5, 1.6), 100, make_rng(207),
-                               image_w=64, image_h=64)
+    offsets, rng = compute_offsets(cfg, Coefficients(0.5, 1.6)), make_rng(207)
+    stats = PerturbationStats.of(sample_perturbed_box(box, offsets, 64, 64, cfg, rng)
+                                 for _ in range(100))
     assert stats.mean_width == box.width
     assert stats.mean_height == box.height
     assert stats.resample_rate == 0.0
@@ -161,8 +160,9 @@ def test_stats_symmetric_config_mean_width():
     box = BoundingBox(200, 200, 400, 300)
     cfg = PerturbationConfig(eps_shrink=-20.0, delta_expand=20.0)
     coeffs = Coefficients(theta_omega=0.5, xi=2.0)
-    stats = perturbation_stats(box, cfg, coeffs, 100_000, make_rng(208),
-                               image_w=1024, image_h=1024)
+    offsets, rng = compute_offsets(cfg, coeffs), make_rng(208)
+    stats = PerturbationStats.of(sample_perturbed_box(box, offsets, 1024, 1024, cfg, rng)
+                                 for _ in range(100_000))
     assert abs(stats.mean_width - box.width) < 0.01 * box.width
 
 
@@ -170,8 +170,9 @@ def test_stats_aspect_ratio_preserved():
     box = BoundingBox(200, 200, 400, 300)  # 200 x 100, xi = 2
     cfg = PerturbationConfig(eps_shrink=-20.0, delta_expand=20.0)
     coeffs = Coefficients(theta_omega=0.5, xi=2.0)
-    stats = perturbation_stats(box, cfg, coeffs, 100_000, make_rng(209),
-                               image_w=1024, image_h=1024)
+    offsets, rng = compute_offsets(cfg, coeffs), make_rng(209)
+    stats = PerturbationStats.of(sample_perturbed_box(box, offsets, 1024, 1024, cfg, rng)
+                                 for _ in range(100_000))
     ratio = stats.mean_width / stats.mean_height
     assert abs(ratio - 2.0) < 0.01 * 2.0
 
