@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import signal
 import stat
 import sys
 from dataclasses import MISSING, astuple, dataclass, field, fields, replace
@@ -228,31 +229,89 @@ ABLATION_ROWS = (
 )
 
 
+def _fit(inputs, task) -> dict:
+    """Train and evaluate one ablation model; return its cells of the CSV.
+
+    inputs is ((standard split, tiny split), config, error threshold) and
+    task is (row index, suite index).  A standard-suite model gives the
+    DSC and NSD cells of every prompt regime, a tiny-suite model the
+    error rate.
+    """
+    splits, config, error_threshold = inputs
+    row, suite = task
+    cfg = replace(config.train,
+                  perturb=replace(config.train.perturb, **ABLATION_ROWS[row][1]))
+    split = splits[suite]
+    model, _ = toyseg.train(split, cfg)
+    if suite == 1:  # tiny
+        res = toyseg.evaluate(model, split.test, tau=config.tau)
+        return {"error_rate": float(np.mean([d < error_threshold for d in res.per_image_dsc]))}
+    cells = {}
+    frac = config.prompt_frac
+    for mode, grow in (("standard", 0.0), ("expand", frac), ("shrink", -frac)):
+        res = toyseg.evaluate(model, split.test, grow=grow, tau=config.tau)
+        cells[f"dsc_{mode}"] = res.dsc_mean
+        cells[f"nsd_{mode}"] = res.nsd_mean
+    return cells
+
+
+_worker_inputs = None  # the inputs of _fit, in a pool worker only: set by _start_worker
+
+
+def _start_worker(inputs):
+    global _worker_inputs
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    _worker_inputs = inputs
+
+
+def _fit_in_worker(task) -> dict:
+    return _fit(_worker_inputs, task)
+
+
+def _fit_on_pool(inputs, tasks, workers: int) -> list[dict]:
+    """_fit over tasks on `workers` forked processes; the results in task order.
+
+    Fork, not spawn or forkserver: a spawned worker starts a new
+    interpreter that imports numpy and the caller's __main__ again on
+    every call, which cost most of the gain, and spawn and forkserver
+    leave a resource_tracker process (and forkserver its server) until
+    the parent exits.  Fork is safe here because the process forks with
+    one thread: the one other thread after `import numpy`, OpenBLAS's
+    idle worker, is stopped by OpenBLAS's own pre-fork handler, and the
+    pool starts its threads only after forking its workers.  The inputs
+    reach the workers through fork, not pickled per task.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(inputs,))
+    try:
+        return list(pool.map(_fit_in_worker, tasks))
+    finally:  # also on an error or Ctrl-C: drop the fits not begun, wait for the rest
+        pool.shutdown(cancel_futures=True)
+
+
 def run_ablation(standard_split, tiny_split, config: RunConfig,
                  error_threshold: float) -> list[dict]:
-    """Train one model per ablation row and evaluate all prompt regimes.
+    """Train one model per ablation row and suite, and evaluate all prompt regimes.
 
     Every row shares the dataset and seeds, so rows differ only in the
-    train-time perturbation.
+    train-time perturbation.  The eight fits run on one forked process
+    per usable CPU, up to eight, or in this process when only one CPU is
+    usable; each draws from its own keyed streams, so the rows are the
+    same at any process count.
     """
-    frac, tau = config.prompt_frac, config.tau
-    results = []
-    for row_name, overrides in ABLATION_ROWS:
-        cfg = replace(config.train, perturb=replace(config.train.perturb, **overrides))
-        row = {"config": row_name}
-        model_std, _ = toyseg.train(standard_split, cfg)
-        for mode, grow in (("standard", 0.0), ("expand", frac), ("shrink", -frac)):
-            res = toyseg.evaluate(model_std, standard_split.test, grow=grow, tau=tau)
-            row[f"dsc_{mode}"] = res.dsc_mean
-            row[f"nsd_{mode}"] = res.nsd_mean
-        model_tiny, _ = toyseg.train(tiny_split, cfg)
-        tiny_res = toyseg.evaluate(model_tiny, tiny_split.test, tau=tau)
-        row["error_rate"] = float(np.mean(
-            [d < error_threshold for d in tiny_res.per_image_dsc]))
-        row["n_standard_test"] = len(standard_split.test)
-        row["n_tiny_test"] = len(tiny_split.test)
-        results.append(row)
-    return results
+    inputs = ((standard_split, tiny_split), config, error_threshold)
+    tasks = [(row, suite) for row in range(len(ABLATION_ROWS)) for suite in (0, 1)]
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
+                  len(tasks))
+    cells = (_fit_on_pool(inputs, tasks, workers) if workers > 1
+             else list(map(functools.partial(_fit, inputs), tasks)))
+    pairs = iter(cells)  # each row's standard cells, then its tiny cells
+    return [{"config": row_name, **standard, **tiny,
+             "n_standard_test": len(standard_split.test), "n_tiny_test": len(tiny_split.test)}
+            for (row_name, _), standard, tiny in zip(ABLATION_ROWS, pairs, pairs)]
 
 
 def cmd_ablate(args):

@@ -83,11 +83,12 @@ def box_from_mask(mask: np.ndarray) -> BoundingBox:
     Raises EmptyMask when the mask has no true pixel.
     """
     mask = np.asarray(mask, dtype=bool)
-    rows, cols = np.nonzero(mask)
+    rows = np.flatnonzero(mask.any(axis=1))  # the rows, then the columns, holding a true pixel
     if rows.size == 0:
         raise EmptyMask("cannot derive a box from an empty mask")
-    return BoundingBox(x_min=float(cols.min()), y_min=float(rows.min()),
-                       x_max=float(cols.max() + 1), y_max=float(rows.max() + 1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return BoundingBox(x_min=float(cols[0]), y_min=float(rows[0]),
+                       x_max=float(cols[-1] + 1), y_max=float(rows[-1] + 1))
 
 
 def coefficients_for(box: BoundingBox, image_w: int, image_h: int,

@@ -11,6 +11,12 @@ import numpy as np
 from boxperturb.loss import CLIP_EPS, combined_loss, loss_gradient
 
 
+def box_edges(mask: np.ndarray) -> tuple[float, float, float, float]:
+    """(x_min, y_min, x_max, y_max) of the true pixels' squares, from every true pixel."""
+    rows, cols = np.nonzero(mask)
+    return (float(cols.min()), float(rows.min()), float(cols.max() + 1), float(rows.max() + 1))
+
+
 def brute_distance_grid(source: np.ndarray) -> np.ndarray:
     """Min-over-pairs Euclidean distance from every pixel to the source set."""
     source = np.asarray(source, dtype=bool)

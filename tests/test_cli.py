@@ -1,10 +1,13 @@
 import json
+import multiprocessing
 import os
 import re
 import signal
 import stat
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,8 +18,9 @@ import pytest
 from boxperturb import data as data_mod
 from boxperturb import cli, toyseg
 from boxperturb.cli import build_parser, main, read_run_config
-from boxperturb.errors import EmptyDataset
-from console_cases import CASES, KEPT, MANIFESTS, ONE_EPOCH, gen, verify, write
+from boxperturb.errors import EmptyDataset, NonFiniteGradient
+from console_cases import (ABLATE, CASES, KEPT, MANIFESTS, ONE_EPOCH, SUITES, gen, verify,
+                           write)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -272,6 +276,13 @@ def test_failed_train_keeps_the_old_model(tmp_path, capsys, monkeypatch):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["ds", "m.json", "one.cfg"]
 
 
+def child_env():
+    """This process's environment with the package under test first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 # Run in a child process: train, killed as it starts to write the history.
 KILLED_TRAIN = """
 import os, signal
@@ -285,10 +296,7 @@ def test_killed_train_leaves_each_output_whole(tmp_path):
     for step in (gen(), ONE_EPOCH, write("m.json", KEPT), write("h.csv", KEPT + b"h")):
         step(tmp_path)
     before = {path.name for path in tmp_path.iterdir()}
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", KILLED_TRAIN], cwd=tmp_path, env=env,
+    child = subprocess.run([sys.executable, "-c", KILLED_TRAIN], cwd=tmp_path, env=child_env(),
                            capture_output=True, text=True)
     assert child.returncode == -signal.SIGKILL, child.stderr
     assert (tmp_path / "m.json").read_bytes() == KEPT
@@ -371,6 +379,8 @@ def test_ablate_rows_override_the_configured_perturbation(tmp_path, monkeypatch)
         return toyseg.ToyModel(), []
 
     monkeypatch.setattr(toyseg, "train", record)
+    # With one usable CPU the fits, and so the recorder, run in this process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert run("ablate", "--data-dir", str(root), "--config", str(cfg),
                "--out", str(tmp_path / "ablation.csv")) == 0
     # Each row fits the standard suite, then the tiny one.
@@ -420,6 +430,190 @@ def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"boxperturb: MemoryError: {message}\n"
     assert [name for name in ("big", "y.f32g", "d.csv") if (tmp_path / name).exists()] == []
     assert list(tmp_path.glob(".*.tmp")) == []
+
+
+# Run in a child process: ablate in the working directory with argv[1] usable
+# CPUs, then print the peak RSS of its waited-for child processes, in KiB.
+ABLATE_ON_CPUS = """
+import os, resource, sys
+from boxperturb import cli
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+code = cli.main(sys.argv[2].split())
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_ablate_csv_is_the_same_at_any_cpu_count(tmp_path):
+    for step in (*SUITES, ONE_EPOCH):
+        step(tmp_path)
+    csvs = []
+    for cpus in (1, 2, 3):  # three workers on fewer cores too
+        child = subprocess.run([sys.executable, "-c", ABLATE_ON_CPUS, str(cpus), ABLATE],
+                               cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+                               timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert (int(child.stdout) > 0) == (cpus > 1), "fits on workers exactly when cpus > 1"
+        csvs.append((tmp_path / "ablation.csv").read_bytes())
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+
+def test_ablate_asks_for_at_most_one_worker_per_fit(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class NoProcesses:
+        """Records what the pool is asked for and runs the fits in this process."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            asked.append((max_workers, mp_context.get_start_method()))
+            self.inputs, = initargs
+
+        def map(self, fn, tasks):
+            return [cli._fit(self.inputs, task) for task in tasks]
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    for step in (*SUITES, ONE_EPOCH):
+        step(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcesses)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(toyseg, "train", lambda split, cfg: (toyseg.ToyModel(), []))
+    assert main(ABLATE.split()) == 0
+    assert asked == [(8, "fork")]
+
+
+@pytest.mark.parametrize("error, err", [
+    (NonFiniteGradient("gradient is not finite"),
+     "boxperturb: NonFiniteGradient: gradient is not finite\n"),
+    (_ArrayMemoryError("Unable to allocate 74.5 GiB"),
+     "boxperturb: MemoryError: Unable to allocate 74.5 GiB\n"),
+    (KeyboardInterrupt(), None),
+], ids=["NonFiniteGradient", "MemoryError", "KeyboardInterrupt"])
+def test_failed_fit_in_a_worker_ends_as_in_this_process(tmp_path, capsys, monkeypatch,
+                                                        error, err):
+    def fit(split, cfg):  # the second row's tiny-suite fit fails
+        if split.train[0].mask.shape == (64, 64) and cfg.perturb.scale_by_target \
+                and cfg.perturb.eps_shrink == 0.0:
+            raise error
+        return toyseg.ToyModel(), []
+
+    for step in (*SUITES, ONE_EPOCH, write("ablation.csv", KEPT)):
+        step(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(toyseg, "train", fit)
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        capsys.readouterr()
+        if err is None:
+            with pytest.raises(KeyboardInterrupt):
+                main(ABLATE.split())
+        else:
+            assert (main(ABLATE.split()), capsys.readouterr().err) == (2, err)
+        assert multiprocessing.active_children() == []
+        assert (tmp_path / "ablation.csv").read_bytes() == KEPT
+        assert list(tmp_path.glob(".*.tmp")) == []
+
+
+def test_workers_are_forked_from_one_thread(tmp_path, monkeypatch):
+    threads = []
+    fork = os.fork
+
+    def counted_fork():
+        threads.append(threading.active_count())
+        return fork()
+
+    for step in (*SUITES, ONE_EPOCH):
+        step(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(toyseg, "train", lambda split, cfg: (toyseg.ToyModel(), []))
+    for _ in range(2):  # the first call's pool leaves no thread behind
+        assert main(ABLATE.split()) == 0
+    assert threads == [1] * 6
+
+def test_killed_worker_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def fit(split, cfg):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return toyseg.ToyModel(), []
+
+    for step in (*SUITES, ONE_EPOCH):
+        step(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(toyseg, "train", fit)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    capsys.readouterr()
+    assert main(ABLATE.split()) == 2
+    assert re.fullmatch(r"boxperturb: BrokenProcessPool: [^\n]+\n", capsys.readouterr().err)
+    assert multiprocessing.active_children() == []
+    assert [path.name for path in tmp_path.glob("*.csv")] == []
+
+
+# Run in a child process: ablate with two usable CPUs, each fit marking its
+# start with a file in fits/ and then taking a second.
+SLOW_ABLATE = """
+import os, sys, time
+from boxperturb import cli, toyseg
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def fit(split, cfg):
+    open(f"fits/{os.getpid()}-{time.monotonic_ns()}", "x").close()
+    time.sleep(1)
+    return toyseg.ToyModel(), []
+
+toyseg.train = fit
+cli.main(sys.argv[1].split())
+"""
+
+
+def test_ctrl_c_drops_the_fits_not_begun_and_leaves_no_worker(tmp_path):
+    for step in (*SUITES, ONE_EPOCH):
+        step(tmp_path)
+    fits = tmp_path / "fits"
+    fits.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", SLOW_ABLATE, ABLATE], cwd=tmp_path,
+                             env=child_env(), stderr=subprocess.PIPE, text=True,
+                             start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(fits.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        os.killpg(child.pid, signal.SIGINT)  # as Ctrl-C does: every process in the group
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == -signal.SIGINT, err
+    assert err.splitlines()[-1] == "KeyboardInterrupt"
+    assert 2 <= len(list(fits.iterdir())) < 8
+    with pytest.raises(ProcessLookupError):  # no worker is left in the child's group
+        os.killpg(child.pid, 0)
+    assert [path.name for path in tmp_path.glob("*.csv")] == []
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
+# Run in a child process: eval, then name the process-pool modules loaded.
+EVAL_THEN_MODULES = """
+import sys
+from boxperturb import cli
+assert cli.main(sys.argv[1:]) == 0
+print([name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules])
+"""
+
+
+def test_only_ablate_loads_the_process_pool(tmp_path, mask_file):
+    child = subprocess.run([sys.executable, "-c", EVAL_THEN_MODULES, "eval", "--gt",
+                            str(mask_file), "--pred", str(mask_file), "--out",
+                            str(tmp_path / "e.json")],
+                           env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, mask_file):

@@ -5,6 +5,8 @@ from boxperturb.errors import BoxOutOfBounds, EmptyMask
 from boxperturb.geometry import BoundingBox, box_from_mask, coefficients_for
 from boxperturb.rng import make_rng
 
+from oracles import box_edges
+
 
 def test_box_from_single_pixel():
     mask = np.zeros((10, 10), dtype=bool)
@@ -46,6 +48,36 @@ def test_box_tightness_on_random_masks():
         # Shrinking any edge by one pixel excludes a true pixel square.
         assert (cols == box.x_min).any() and (cols == box.x_max - 1).any()
         assert (rows == box.y_min).any() and (rows == box.y_max - 1).any()
+
+
+def thin_and_random_masks():
+    """Seeded random masks of several densities and shapes, one pixel, a full
+    mask, and one-pixel-thin lines along each axis and the diagonal."""
+    for i in range(60):
+        rng = make_rng(101, i)
+        h, w = rng.integers(1, 40, size=2)
+        yield rng.random((h, w)) < (0.002, 0.05, 0.5)[i % 3]
+    for h, w in ((1, 1), (1, 9), (9, 1), (17, 23)):
+        yield np.ones((h, w), dtype=bool)
+        one = np.zeros((h, w), dtype=bool)
+        one[h - 1, w // 2] = True
+        yield one
+    for k in (0, 5, 16):
+        row = np.zeros((17, 23), dtype=bool)
+        row[k, 3:20] = True
+        yield row
+        yield np.ascontiguousarray(row.T)
+    yield np.eye(23, dtype=bool)[:17]
+
+
+def test_box_from_mask_matches_the_box_of_every_true_pixel():
+    for mask in thin_and_random_masks():
+        if mask.any():
+            box = box_from_mask(mask)
+            assert (box.x_min, box.y_min, box.x_max, box.y_max) == box_edges(mask)
+        else:
+            with pytest.raises(EmptyMask):
+                box_from_mask(mask)
 
 
 def test_degenerate_box_rejected():
